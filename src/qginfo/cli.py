@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: measures (closed-form and/or quadrature measure sets), verify
-(inequality reports for a selectable density), sweep (concurrent parameter
-grid to CSV), sample (reproducible draws to CSV), minimize (variational
+(inequality reports for a selectable density), sweep (parameter grid to
+CSV), sample (reproducible draws to CSV), minimize (variational
 solver). Every emitted report embeds the resolved configuration. Exit codes
 form a stable contract: 0 success, 2 invalid input, 3 numeric divergence or
-non-convergence, 4 inequality violated beyond tolerance.
+non-convergence, 4 inequality violated beyond tolerance. No input ends in a
+traceback: every arithmetic failure (overflow, division by zero, divergence)
+maps to 3.
 """
 
 import argparse
@@ -14,19 +16,19 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import ConvergenceError, DivergenceError, DomainError, ZeroDensityError
+from . import validity
+from .errors import ConvergenceError, DomainError, ZeroDensityError
 from .inequalities import (
     DEFAULT_EQ_TOL,
     DEFAULT_REL_TOL,
     INEQUALITY_NAMES,
     check_all,
+    inapplicable,
 )
 from .measures import (
+    MEASURE_KEYS,
     RadialDensity,
     gaussian_mixture,
     measure_all,
@@ -54,6 +56,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 EXIT_VIOLATED = 4
+
+# largest sweep grid accepted, counted before any grid list is built
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, default=float)
 
 
+def _csv_text(config: RunConfig, header, rows) -> str:
+    buf = io.StringIO()
+    buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -110,16 +124,10 @@ def _params_from(args) -> QGaussianParams:
 
 def _gate_flags(params: QGaussianParams):
     # named validity violations surface as invalid input, not as a late crash
-    if not params.mq_finite:
-        bound = params.n / (params.n + params.alpha)
-        raise DomainError(
-            f"Mq-finiteness violated: requires q > n/(n+alpha) = {bound:g}, got q = {params.q:g}"
-        )
-    if not params.fisher_finite:
-        raise DomainError(
-            "Fisher-finiteness violated: requires alpha > 1 and "
-            f"q > max(1-alpha, n/(n+alpha)), got alpha = {params.alpha:g}, q = {params.q:g}"
-        )
+    for subject, bound in (("Mq-finiteness violated:", validity.mq_finite),
+                           ("Fisher-finiteness violated:", validity.fisher_finite)):
+        if why := bound(params.n, params.alpha, params.q):
+            raise DomainError(f"{subject} {why}")
 
 
 def _resolve_density(args) -> RadialDensity:
@@ -180,19 +188,14 @@ def cmd_measures(args) -> int:
         payload["quadrature"] = measure_all(radial_density(params), params.alpha, params.q).as_dict()
     if args.method == "both":
         gaps = {}
-        for key in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq"):
+        for key in MEASURE_KEYS:
             c, e = payload["closed"][key], payload["quadrature"][key]
             gaps[key] = abs(c - e) / max(abs(c), 1e-300)
         payload["max_rel_gap"] = max(gaps.values())
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
-        writer = csv.writer(buf)
         columns = [m for m in ("closed", "quadrature") if m in payload]
-        writer.writerow(["measure", *columns])
-        for key in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq"):
-            writer.writerow([key.lower(), *(repr(payload[m][key]) for m in columns)])
-        _emit(buf.getvalue(), args.out)
+        rows = ([key.lower(), *(repr(payload[m][key]) for m in columns)] for key in MEASURE_KEYS)
+        _emit(_csv_text(config, ["measure", *columns], rows), args.out)
     else:
         _emit(_json_text(payload), args.out)
     return EXIT_OK
@@ -200,6 +203,9 @@ def cmd_measures(args) -> int:
 
 def cmd_verify(args) -> int:
     names = INEQUALITY_NAMES if args.all or not args.ineq else tuple(args.ineq)
+    for flag, tol in (("--rel-tol", args.rel_tol), ("--eq-tol", args.eq_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise DomainError(f"{flag} must be finite and >= 0, got {tol!r}")
     density = _resolve_density(args)
     config = RunConfig(
         subcommand="verify",
@@ -210,34 +216,21 @@ def cmd_verify(args) -> int:
         out=args.out,
         extra={"inequalities": list(names)},
     )
-    reports = []
-    skipped = []
-    for name in names:
-        try:
-            reports.extend(
-                check_all(density, args.alpha, args.q, rel_tol=args.rel_tol,
-                          eq_tol=args.eq_tol, names=(name,))
-            )
-        except DomainError as exc:
-            if args.all:
-                # --all runs whatever applies and records why the rest do not
-                skipped.append({"name": name, "reason": str(exc)})
-            else:
-                raise
+    # --all runs whatever applies and records why the rest do not; an explicit
+    # request that does not apply is an error raised by check_all
+    skipped = inapplicable(density, args.alpha, args.q, names) if args.all else {}
+    reports = check_all(density, args.alpha, args.q, rel_tol=args.rel_tol, eq_tol=args.eq_tol,
+                        names=[name for name in names if name not in skipped])
     payload = {
         "config": config.as_dict(),
         "reports": [r.as_dict() for r in reports],
-        "skipped": skipped,
+        "skipped": [{"name": name, "reason": reason} for name, reason in skipped.items()],
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["name", "lhs", "rhs", "ratio", "deficit", "passes", "equality"])
-        for r in reports:
-            writer.writerow([r.name, repr(r.lhs), repr(r.rhs), repr(r.ratio),
-                             repr(r.deficit), r.passes, r.equality])
-        _emit(buf.getvalue(), args.out)
+        header = ["name", "lhs", "rhs", "ratio", "deficit", "passes", "equality"]
+        rows = ([r.name, repr(r.lhs), repr(r.rhs), repr(r.ratio), repr(r.deficit), r.passes,
+                 r.equality] for r in reports)
+        _emit(_csv_text(config, header, rows), args.out)
     else:
         _emit(_json_text(payload), args.out)
     if any(not r.passes for r in reports):
@@ -246,7 +239,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_grid(text: str, integer: bool = False) -> list:
-    """Comma list of values and/or start:stop:step ranges (stop inclusive within 1e-9)."""
+    """Comma list of values and/or start:stop:step ranges (stop inclusive within 1e-9).
+
+    Range point i is start + i*step. A range's point count is checked against
+    MAX_SWEEP_ROWS before any point is built.
+    """
     values: list[float] = []
     for segment in text.split(","):
         if segment == "":
@@ -256,26 +253,27 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             if len(pieces) != 3:
                 raise DomainError(f"range spec {segment!r} must be start:stop:step")
             start, stop, step = (float(p) for p in pieces)
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise DomainError(f"range spec {segment!r} must be finite")
             if step <= 0:
                 raise DomainError("range step must be positive")
-            v = start
-            while v <= stop + 1e-9:
-                values.append(v)
-                v += step
+            count = math.floor((stop + 1e-9 - start) / step) + 1
+            if count > MAX_SWEEP_ROWS:
+                raise DomainError(f"range {segment!r} has {count} points, over {MAX_SWEEP_ROWS}")
+            values.extend(start + i * step for i in range(count))
         else:
             values.append(float(segment))
     if integer:
         out = []
         for v in values:
-            if int(v) != v:
+            if not v.is_integer():
                 raise DomainError(f"grid value {v!r} must be an integer")
             out.append(int(v))
         return out
     return values
 
 
-_SWEEP_MEASURES = ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")
-_SWEEP_DEFICITS = tuple("deficit_" + n.replace("-", "_") for n in INEQUALITY_NAMES)
+_SWEEP_DEFICITS = {name: "deficit_" + name.replace("-", "_") for name in INEQUALITY_NAMES}
 
 
 def _sweep_row(tup) -> dict:
@@ -286,15 +284,14 @@ def _sweep_row(tup) -> dict:
         params = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma)
         _gate_flags(params)
         ms = closed_measures(params)
-        row.update({key: getattr(ms, key) for key in _SWEEP_MEASURES})
+        row.update({key: getattr(ms, key) for key in MEASURE_KEYS})
         density = radial_density(params)
-        for name, column in zip(INEQUALITY_NAMES, _SWEEP_DEFICITS):
-            try:
-                report = check_all(density, alpha, q, names=(name,))[0]
-                row[column] = report.deficit
-            except DomainError as exc:
-                notes.append(f"{name}: {exc}")
-    except (DomainError, DivergenceError) as exc:
+        skipped = inapplicable(density, alpha, q)
+        notes.extend(f"{name}: {reason}" for name, reason in skipped.items())
+        names = [name for name in INEQUALITY_NAMES if name not in skipped]
+        for report in check_all(density, alpha, q, names=names):
+            row[_SWEEP_DEFICITS[report.name]] = report.deficit
+    except (DomainError, ArithmeticError) as exc:
         notes.append(str(exc))
     row["error"] = "; ".join(notes)
     return row
@@ -307,6 +304,9 @@ def cmd_sweep(args) -> int:
         "q": _parse_grid(args.q),
         "gamma": _parse_grid(args.gamma),
     }
+    size = math.prod(len(grid) for grid in grids.values())
+    if size > MAX_SWEEP_ROWS:
+        raise DomainError(f"sweep grid has {size} points, over {MAX_SWEEP_ROWS}")
     tuples = [
         (n, alpha, q, gamma)
         for n in grids["n"]
@@ -316,21 +316,12 @@ def cmd_sweep(args) -> int:
     ]
     if not tuples:
         raise DomainError("sweep grid is empty")
-    config = RunConfig(
-        subcommand="sweep", params={k: v for k, v in grids.items()}, fmt="csv", out=args.out
-    )
-    workers = min(8, len(tuples))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_row, tuples))  # map preserves grid order
-    columns = ["n", "alpha", "q", "gamma", *(_SWEEP_MEASURES), *(_SWEEP_DEFICITS), "error"]
-    buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
-    writer = csv.writer(buf)
-    writer.writerow([c.lower() for c in columns])
-    for row in rows:
-        writer.writerow([repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "")
-                         for c in columns])
-    _emit(buf.getvalue(), args.out)
+    config = RunConfig(subcommand="sweep", params=dict(grids), fmt="csv", out=args.out)
+    rows = [_sweep_row(t) for t in tuples]
+    columns = ["n", "alpha", "q", "gamma", *MEASURE_KEYS, *_SWEEP_DEFICITS.values(), "error"]
+    cells = ([repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "") for c in columns]
+             for row in rows)
+    _emit(_csv_text(config, [c.lower() for c in columns], cells), args.out)
     return EXIT_OK
 
 
@@ -346,13 +337,8 @@ def cmd_sample(args) -> int:
         extra={"rng": RNG_ALGORITHM},
     )
     batch = sample(params, args.count, args.seed)
-    buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
-    writer = csv.writer(buf)
-    writer.writerow([f"x{i + 1}" for i in range(params.n)])
-    for point in batch.points:
-        writer.writerow([repr(float(v)) for v in point])
-    _emit(buf.getvalue(), args.out)
+    rows = ([repr(float(v)) for v in point] for point in batch.points)
+    _emit(_csv_text(config, [f"x{i + 1}" for i in range(params.n)], rows), args.out)
     if args.out:
         estimate, se = empirical_moment(batch, params.alpha)
         summary = {
@@ -377,13 +363,9 @@ def cmd_minimize(args) -> int:
     )
     if args.format == "csv":
         closed = extremal_profile(problem)
-        buf = io.StringIO()
-        buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["r", "u", "closed_form_u"])
-        for r, u, cu in zip(problem.grid, solution.u_values, closed):
-            writer.writerow([repr(float(r)), repr(float(u)), repr(float(cu))])
-        _emit(buf.getvalue(), args.out)
+        rows = ([repr(float(v)) for v in values]
+                for values in zip(problem.grid, solution.u_values, closed))
+        _emit(_csv_text(config, ["r", "u", "closed_form_u"], rows), args.out)
         print(_json_text({"objective": solution.objective,
                           "prop1": {"lhs": lhs, "rhs": rhs, "rel_gap": gap}}))
     else:
@@ -475,10 +457,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DomainError, ZeroDensityError, ValueError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    except DivergenceError as exc:
-        return _fail(str(exc), EXIT_DIVERGED)
-    except ConvergenceError as exc:
-        return _fail(str(exc), EXIT_DIVERGED)
+    except (ArithmeticError, ConvergenceError) as exc:
+        # ArithmeticError covers DivergenceError, OverflowError and ZeroDivisionError
+        return _fail(str(exc) or type(exc).__name__, EXIT_DIVERGED)
     except OSError as exc:
         return _fail(str(exc), EXIT_INVALID)
 

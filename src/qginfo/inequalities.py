@@ -12,9 +12,15 @@ Gaussians:
 with lam = n(q-1) + 1. The right sides of the last three are evaluated on the
 closed-form gamma = 1 family member; all four products are scale invariant, so
 that choice is immaterial. The Cramer-Rao ratio factorizes exactly as
-(moment-entropy ratio) * (Stam ratio)^{1/n}, which check_cramer_rao verifies
-internally on every call; at n = 1 this is the literal term-by-term product of
-the other two comparisons.
+(moment-entropy ratio) * (Stam ratio)^{1/n}, which is verified internally on
+every Cramer-Rao evaluation; at n = 1 this is the literal term-by-term product
+of the other two comparisons.
+
+The four comparisons are rows of one table, each naming the validity bounds it
+needs (see ``qginfo.validity``), whether it needs a weak derivative, its two
+sides and the measures they read. ``check_all`` tests every requested row's
+applicability before computing anything, then evaluates the rows against one
+measure backend, so each measure is computed at most once per call.
 
 Measurement routing: a density tagged as a family member with matching
 (alpha, q) is measured by closed forms; anything else goes through quadrature.
@@ -22,8 +28,9 @@ Measurement routing: a density tagged as a family member with matching
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
+from . import validity
 from .errors import DomainError
 from .measures import (
     CLOSED_FORM,
@@ -35,7 +42,6 @@ from .measures import (
     quad_shannon,
 )
 from .qgaussian import (
-    BRANCH_TOL,
     QGaussianParams,
     closed_Mq,
     closed_fisher,
@@ -51,12 +57,14 @@ __all__ = [
     "check_stam",
     "check_cramer_rao",
     "check_all",
+    "inapplicable",
 ]
-
-INEQUALITY_NAMES = ("fisher-moment-entropy", "moment-entropy", "stam", "cramer-rao")
 
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_EQ_TOL = 1e-5
+
+# relative tolerance of every quadrature behind a check
+_QUAD_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,95 +110,123 @@ class InequalityReport:
 
 
 class _MeasureBackend:
-    """Lazily computes exactly the measures a check needs, closed or quadrature."""
+    """Lazily computes, once each, the measures the checks need.
 
-    def __init__(self, f: RadialDensity, alpha: float, q: float, rel_tol: float):
-        self.f = f
-        self.alpha = alpha
-        self.q = q
-        self.rel_tol = rel_tol
+    With ``params`` the measures come from closed forms, else from quadrature
+    on the density ``f``.
+    """
+
+    def __init__(self, alpha: float, q: float, f: RadialDensity | None = None,
+                 params: QGaussianParams | None = None):
+        self.f, self.params, self.alpha, self.q = f, params, alpha, q
+        self.n = f.dim if f is not None else params.n
+        self.beta = math.inf if validity.conjugate(self.n, alpha, q) else alpha / (alpha - 1.0)
+        self.lam = self.n * (q - 1.0) + 1.0
+        self.tag = CLOSED_FORM if params is not None else QUADRATURE
+        self.gamma = params.gamma if params is not None else None
+        self._cache: dict = {}
+
+    @classmethod
+    def of(cls, f: RadialDensity, alpha: float, q: float) -> "_MeasureBackend":
+        """Route a density tagged as a family member with matching (alpha, q) to closed forms."""
         fam = f.family
-        self.params = None
-        if (
+        matches = (
             isinstance(fam, QGaussianParams)
             and math.isclose(fam.alpha, alpha, rel_tol=1e-12)
             and math.isclose(fam.q, q, rel_tol=1e-12, abs_tol=1e-15)
-        ):
-            self.params = fam
-        self.tag = CLOSED_FORM if self.params is not None else QUADRATURE
-        self._cache: dict = {}
-
-    @property
-    def gamma(self) -> float | None:
-        return self.params.gamma if self.params is not None else None
+        )
+        return cls(alpha, q, f, fam if matches else None)
 
     def _get(self, key, closed, quad):
         if key not in self._cache:
-            self._cache[key] = closed() if self.params is not None else quad()
+            self._cache[key] = closed(self.params) if self.params is not None else quad(self.f)
         return self._cache[key]
 
     def Mq(self) -> float:
-        return self._get(
-            "Mq",
-            lambda: closed_Mq(self.params),
-            lambda: quad_Mq(self.f, self.q, rel_tol=self.rel_tol),
-        )
+        return self._get("Mq", closed_Mq, lambda f: quad_Mq(f, self.q, rel_tol=_QUAD_REL_TOL))
 
     def Nq(self) -> float:
-        def quad() -> float:
-            if abs(self.q - 1.0) < BRANCH_TOL:
-                return math.exp(quad_shannon(self.f, rel_tol=self.rel_tol))
+        def quad(f) -> float:
+            if validity.exponential_branch(self.q):
+                return math.exp(quad_shannon(f, rel_tol=_QUAD_REL_TOL))
             return self.Mq() ** (1.0 / (1.0 - self.q))
 
-        return self._get("Nq", lambda: entropy_power(self.params), quad)
+        return self._get("Nq", entropy_power, quad)
 
     def m_alpha(self) -> float:
-        return self._get(
-            "m_alpha",
-            lambda: closed_moment_alpha(self.params),
-            lambda: quad_moment(self.f, self.alpha, rel_tol=self.rel_tol),
-        )
+        return self._get("m_alpha", closed_moment_alpha,
+                         lambda f: quad_moment(f, self.alpha, rel_tol=_QUAD_REL_TOL))
 
     def I_bq(self) -> float:
-        beta = self.alpha / (self.alpha - 1.0)
-        return self._get(
-            "I_bq",
-            lambda: closed_fisher(self.params),
-            lambda: quad_fisher(self.f, beta, self.q, rel_tol=self.rel_tol),
+        return self._get("I_bq", closed_fisher,
+                         lambda f: quad_fisher(f, self.beta, self.q, rel_tol=_QUAD_REL_TOL))
+
+
+def _fisher_moment(m: _MeasureBackend) -> float:
+    return m.I_bq() ** (1.0 / m.beta) * m.m_alpha() ** (1.0 / m.alpha)
+
+
+def _moment_entropy(m: _MeasureBackend) -> float:
+    return m.m_alpha() ** (1.0 / m.alpha) / m.Nq() ** (1.0 / m.n)
+
+
+def _stam(m: _MeasureBackend) -> float:
+    return m.Nq() * m.I_bq() ** (m.n / (m.beta * m.lam))
+
+
+def _cramer_rao(m: _MeasureBackend) -> float:
+    return m.I_bq() ** (1.0 / (m.beta * m.lam)) * m.m_alpha() ** (1.0 / m.alpha)
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """One row of the table: lhs >= rhs wherever every bound holds."""
+
+    bounds: tuple  # validity bounds on (n, alpha, q), tested in order
+    derivative: bool  # needs a weak derivative of the density
+    lhs: Callable  # measured -> value
+    rhs: Callable  # (measured, extremal) -> value
+    uses: tuple  # measures of the density the two sides read
+
+
+_TABLE = {
+    "fisher-moment-entropy": _Inequality(
+        (validity.conjugate, validity.positive_q, validity.mq_finite), True,
+        _fisher_moment, lambda m, extremal: (m.n / m.q) * m.Mq(), ("I_bq", "m_alpha", "Mq"),
+    ),
+    "moment-entropy": _Inequality(
+        (validity.positive_alpha, validity.mq_finite), False,
+        _moment_entropy, lambda m, extremal: _moment_entropy(extremal), ("m_alpha", "Nq"),
+    ),
+    "stam": _Inequality(
+        (validity.conjugate, validity.stam), True,
+        _stam, lambda m, extremal: _stam(extremal), ("Nq", "I_bq"),
+    ),
+    "cramer-rao": _Inequality(
+        (validity.conjugate, validity.stam), True,
+        _cramer_rao, lambda m, extremal: _cramer_rao(extremal), ("I_bq", "m_alpha", "Nq"),
+    ),
+}
+
+INEQUALITY_NAMES = tuple(_TABLE)
+
+
+def _require_factorization(measured: _MeasureBackend, extremal: _MeasureBackend, ratio: float):
+    # the Cramer-Rao ratio is (moment-entropy ratio) * (Stam ratio)^{1/n}:
+    # the proof structure of the bound, recomputed from the same measure values
+    me_ratio = _moment_entropy(measured) / _moment_entropy(extremal)
+    stam_ratio = _stam(measured) / _stam(extremal)
+    recomposed = me_ratio * stam_ratio ** (1.0 / measured.n)
+    if abs(recomposed - ratio) > 1e-9 * abs(ratio):
+        raise ArithmeticError(
+            "cramer-rao factorization check failed: "
+            f"ratio {ratio!r} vs moment-entropy * stam^(1/n) {recomposed!r}"
         )
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise DomainError(message)
-
-
-def _beta_of(alpha: float, name: str) -> float:
-    _require(
-        alpha > 1,
-        f"{name} requires alpha > 1 so the conjugate exponent beta is finite, got alpha = {alpha:g}",
-    )
-    return alpha / (alpha - 1.0)
-
-
-def _mq_bound(n: int, alpha: float, q: float, name: str):
-    bound = n / (n + alpha)
-    _require(q > bound, f"{name} requires q > n/(n+alpha) = {bound:g}, got q = {q:g}")
-
-
-def _stam_bounds(n: int, alpha: float, q: float, name: str):
-    lo_dim = (n - 1) / n
-    lo_mq = n / (n + alpha)
-    if lo_dim >= lo_mq:
-        _require(q > lo_dim, f"{name} requires q > (n-1)/n = {lo_dim:g}, got q = {q:g}")
-    else:
-        _require(q > lo_mq, f"{name} requires q > n/(n+alpha) = {lo_mq:g}, got q = {q:g}")
-
-
-def _report(name, lhs, rhs, backend, lam, rel_tol, eq_tol, used) -> InequalityReport:
+def _report(name, lhs, rhs, measured, rel_tol, eq_tol, used) -> InequalityReport:
     ratio = lhs / rhs
     deficit = ratio - 1.0
-    beta = backend.alpha / (backend.alpha - 1.0) if backend.alpha > 1 else math.inf
     return InequalityReport(
         name=name,
         lhs=float(lhs),
@@ -199,133 +235,29 @@ def _report(name, lhs, rhs, backend, lam, rel_tol, eq_tol, used) -> InequalityRe
         deficit=float(deficit),
         passes=bool(ratio >= 1.0 - rel_tol),
         equality=bool(abs(deficit) <= eq_tol),
-        params_echo=(backend.f.dim, backend.alpha, beta, backend.q, lam),
-        density_descriptor=backend.f.descriptor,
+        params_echo=(measured.n, measured.alpha, measured.beta, measured.q, measured.lam),
+        density_descriptor=measured.f.descriptor,
         tolerances=(rel_tol, eq_tol),
-        method_tags={key: backend.tag for key in used},
-        gamma=backend.gamma,
+        method_tags={key: measured.tag for key in used},
+        gamma=measured.gamma,
     )
 
 
-def check_fisher_moment_entropy(
-    f: RadialDensity,
-    alpha: float,
-    q: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-) -> InequalityReport:
-    """I^{1/beta} m^{1/alpha} >= (n/q) M_q, both sides on the given density.
+def inapplicable(f: RadialDensity, alpha: float, q: float, names=INEQUALITY_NAMES) -> dict:
+    """Why each named check does not apply to (f, alpha, q): {name: reason}, in request order.
 
-    Assumes the boundary decay r^n f_r(r)^q -> 0, which is the caller's
-    obligation; it holds for every density this package constructs.
+    A check applies when every validity bound of its row holds and, if it needs
+    a weak derivative, the density is differentiable.
     """
-    n = f.dim
-    beta = _beta_of(alpha, "fisher-moment-entropy")
-    _require(q > 0, f"fisher-moment-entropy requires q > 0, got q = {q:g}")
-    _mq_bound(n, alpha, q, "fisher-moment-entropy")
-    backend = _MeasureBackend(f, alpha, q, rel_tol=1e-8)
-    lhs = backend.I_bq() ** (1.0 / beta) * backend.m_alpha() ** (1.0 / alpha)
-    rhs = (n / q) * backend.Mq()
-    lam = n * (q - 1.0) + 1.0
-    return _report(
-        "fisher-moment-entropy", lhs, rhs, backend, lam, rel_tol, eq_tol,
-        used=("I_bq", "m_alpha", "Mq"),
-    )
-
-
-def check_moment_entropy(
-    f: RadialDensity,
-    alpha: float,
-    q: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-) -> InequalityReport:
-    """m^{1/alpha}/N^{1/n} on the density >= the same on the extremal member."""
-    n = f.dim
-    _require(alpha > 0, f"moment-entropy requires alpha > 0, got alpha = {alpha:g}")
-    _mq_bound(n, alpha, q, "moment-entropy")
-    backend = _MeasureBackend(f, alpha, q, rel_tol=1e-8)
-    extremal = QGaussianParams(n=n, alpha=alpha, q=q, gamma=1.0)
-    lhs = backend.m_alpha() ** (1.0 / alpha) / backend.Nq() ** (1.0 / n)
-    rhs = closed_moment_alpha(extremal) ** (1.0 / alpha) / entropy_power(extremal) ** (1.0 / n)
-    lam = n * (q - 1.0) + 1.0
-    return _report(
-        "moment-entropy", lhs, rhs, backend, lam, rel_tol, eq_tol,
-        used=("m_alpha", "Nq"),
-    )
-
-
-def check_stam(
-    f: RadialDensity,
-    alpha: float,
-    q: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-) -> InequalityReport:
-    """N * I^{n/(beta lam)} on the density >= the same on the extremal member."""
-    n = f.dim
-    beta = _beta_of(alpha, "stam")
-    _stam_bounds(n, alpha, q, "stam")
-    backend = _MeasureBackend(f, alpha, q, rel_tol=1e-8)
-    extremal = QGaussianParams(n=n, alpha=alpha, q=q, gamma=1.0)
-    lam = n * (q - 1.0) + 1.0
-    expo = n / (beta * lam)
-    lhs = backend.Nq() * backend.I_bq() ** expo
-    rhs = entropy_power(extremal) * closed_fisher(extremal) ** expo
-    return _report("stam", lhs, rhs, backend, lam, rel_tol, eq_tol, used=("Nq", "I_bq"))
-
-
-def check_cramer_rao(
-    f: RadialDensity,
-    alpha: float,
-    q: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    eq_tol: float = DEFAULT_EQ_TOL,
-) -> InequalityReport:
-    """I^{1/(beta lam)} m^{1/alpha} on the density >= the same on the extremal member.
-
-    Every call also recomputes the ratio as (moment-entropy ratio) times the
-    n-th root of the (Stam ratio) from the same measure values and insists the
-    two agree to 1e-9; the factorization is the proof structure of the bound.
-    """
-    n = f.dim
-    beta = _beta_of(alpha, "cramer-rao")
-    _stam_bounds(n, alpha, q, "cramer-rao")
-    backend = _MeasureBackend(f, alpha, q, rel_tol=1e-8)
-    extremal = QGaussianParams(n=n, alpha=alpha, q=q, gamma=1.0)
-    lam = n * (q - 1.0) + 1.0
-    expo = 1.0 / (beta * lam)
-    I_f, m_f, N_f = backend.I_bq(), backend.m_alpha(), backend.Nq()
-    I_g = closed_fisher(extremal)
-    m_g = closed_moment_alpha(extremal)
-    N_g = entropy_power(extremal)
-    lhs = I_f**expo * m_f ** (1.0 / alpha)
-    rhs = I_g**expo * m_g ** (1.0 / alpha)
-    ratio = lhs / rhs
-    me_ratio = (m_f ** (1.0 / alpha) / N_f ** (1.0 / n)) / (m_g ** (1.0 / alpha) / N_g ** (1.0 / n))
-    stam_ratio = (N_f * I_f ** (n * expo)) / (N_g * I_g ** (n * expo))
-    recomposed = me_ratio * stam_ratio ** (1.0 / n)
-    if abs(recomposed - ratio) > 1e-9 * abs(ratio):
-        raise ArithmeticError(
-            "cramer-rao factorization check failed: "
-            f"ratio {ratio!r} vs moment-entropy * stam^(1/n) {recomposed!r}"
-        )
-    return _report(
-        "cramer-rao", lhs, rhs, backend, lam, rel_tol, eq_tol,
-        used=("I_bq", "m_alpha", "Nq"),
-    )
-
-
-_CHECKS = {
-    "fisher-moment-entropy": check_fisher_moment_entropy,
-    "moment-entropy": check_moment_entropy,
-    "stam": check_stam,
-    "cramer-rao": check_cramer_rao,
-}
+    reasons = {}
+    for name in names:
+        row = _TABLE[name]
+        why = next(filter(None, (bound(f.dim, alpha, q) for bound in row.bounds)), None)
+        if why:
+            reasons[name] = f"{name} {why}"
+        elif row.derivative and (why := validity.differentiable(f.differentiable)):
+            reasons[name] = f"{f.descriptor}: {why}"
+    return reasons
 
 
 def check_all(
@@ -337,5 +269,61 @@ def check_all(
     eq_tol: float = DEFAULT_EQ_TOL,
     names=INEQUALITY_NAMES,
 ) -> list[InequalityReport]:
-    """Run the named checks in order; preconditions propagate as DomainError."""
-    return [_CHECKS[name](f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol) for name in names]
+    """Run the named checks in order against one measure backend.
+
+    Every requested check's applicability is tested before any measure is
+    computed; the first that does not apply raises DomainError with its reason.
+    """
+    names = tuple(names)
+    skipped = inapplicable(f, alpha, q, names)
+    if skipped:
+        raise DomainError(next(iter(skipped.values())))
+    if not names:
+        return []
+    measured = _MeasureBackend.of(f, alpha, q)
+    extremal = _MeasureBackend(alpha, q, params=QGaussianParams(n=f.dim, alpha=alpha, q=q))
+    reports = []
+    for name in names:
+        row = _TABLE[name]
+        lhs, rhs = row.lhs(measured), row.rhs(measured, extremal)
+        if name == "cramer-rao":
+            _require_factorization(measured, extremal, lhs / rhs)
+        reports.append(_report(name, lhs, rhs, measured, rel_tol, eq_tol, row.uses))
+    return reports
+
+
+def check_fisher_moment_entropy(f: RadialDensity, alpha: float, q: float, *,
+                                rel_tol: float = DEFAULT_REL_TOL,
+                                eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
+    """I^{1/beta} m^{1/alpha} >= (n/q) M_q, both sides on the given density.
+
+    Assumes the boundary decay r^n f_r(r)^q -> 0, which is the caller's
+    obligation; it holds for every density this package constructs.
+    """
+    names = ("fisher-moment-entropy",)
+    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=names)[0]
+
+
+def check_moment_entropy(f: RadialDensity, alpha: float, q: float, *,
+                         rel_tol: float = DEFAULT_REL_TOL,
+                         eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
+    """m^{1/alpha}/N^{1/n} on the density >= the same on the extremal member."""
+    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("moment-entropy",))[0]
+
+
+def check_stam(f: RadialDensity, alpha: float, q: float, *, rel_tol: float = DEFAULT_REL_TOL,
+               eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
+    """N * I^{n/(beta lam)} on the density >= the same on the extremal member."""
+    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("stam",))[0]
+
+
+def check_cramer_rao(f: RadialDensity, alpha: float, q: float, *,
+                     rel_tol: float = DEFAULT_REL_TOL,
+                     eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
+    """I^{1/(beta lam)} m^{1/alpha} on the density >= the same on the extremal member.
+
+    Every call also recomputes the ratio as (moment-entropy ratio) times the
+    n-th root of the (Stam ratio) from the same measure values and insists the
+    two agree to 1e-9; the factorization is the proof structure of the bound.
+    """
+    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("cramer-rao",))[0]

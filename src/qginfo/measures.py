@@ -12,6 +12,7 @@ densities that have no closed form at all (mixtures, tabulated profiles).
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -21,13 +22,14 @@ from scipy import integrate
 from scipy import special as _special
 from scipy.interpolate import CubicSpline
 
+from . import validity
 from .errors import DivergenceError, DomainError, ZeroDensityError
 from .special import unit_sphere_area
 
 __all__ = [
     "CLOSED_FORM",
     "QUADRATURE",
-    "MONTE_CARLO",
+    "MEASURE_KEYS",
     "RadialDensity",
     "MeasureSet",
     "quad_Mq",
@@ -43,7 +45,9 @@ __all__ = [
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte-carlo"
+
+# the fields of a MeasureSet, in report order
+MEASURE_KEYS = ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")
 
 # weight level below which the radial tail is cut
 _TAIL_WEIGHT_CUT = 1e-16
@@ -88,8 +92,8 @@ class RadialDensity:
 class MeasureSet:
     """The bundle (M_q, H_q, S_q, N_q, m_alpha, I_bq) for one density.
 
-    ``method`` tags each field with how it was obtained (closed-form,
-    quadrature, or monte-carlo); ``params_echo`` is (n, alpha, beta, q).
+    ``method`` tags each field with how it was obtained (closed-form or
+    quadrature); ``params_echo`` is (n, alpha, beta, q).
     """
 
     Mq: float
@@ -105,7 +109,7 @@ class MeasureSet:
         n, alpha, beta, q = self.params_echo
         if abs(1.0 / alpha + 1.0 / beta - 1.0) > 1e-12:
             raise DomainError(f"alpha={alpha} and beta={beta} are not Holder conjugates")
-        if abs(q - 1.0) >= 1e-12 and math.isfinite(self.Mq) and self.Mq > 0:
+        if not validity.exponential_branch(q) and math.isfinite(self.Mq) and self.Mq > 0:
             expected = self.Mq ** (1.0 / (1.0 - q))
             if abs(expected - self.Nq) > 1e-12 * max(abs(expected), abs(self.Nq)):
                 raise DomainError("Nq is inconsistent with Mq^(1/(1-q))")
@@ -266,11 +270,8 @@ def quad_fisher(
     """
     if beta <= 1:
         raise DomainError(f"quad_fisher requires beta > 1, got {beta}")
-    if not f.differentiable:
-        raise DomainError(
-            f"{f.descriptor}: profile is not absolutely continuous; "
-            "its generalized Fisher information is infinite"
-        )
+    if why := validity.differentiable(f.differentiable):
+        raise DomainError(f"{f.descriptor}: {why}")
     n = f.dim
     alpha = beta / (beta - 1.0)
     surface = unit_sphere_area(n)
@@ -281,7 +282,8 @@ def quad_fisher(
         fv = f.profile(r)
         dv = dprof(r)
         if fv <= 0.0:
-            if dv == 0.0:
+            # a subnormal derivative next to a zero value is the tail underflowing
+            if abs(dv) < sys.float_info.min:
                 return 0.0
             raise ZeroDensityError(
                 f"{f.descriptor}: profile vanishes at interior radius {r:g} "
@@ -306,11 +308,11 @@ def measure_all(
     rel_tol: float = 1e-8,
 ) -> MeasureSet:
     """All six measures of one density by quadrature, bundled consistently."""
-    if alpha <= 1:
-        raise DomainError(f"measure_all requires alpha > 1 for a finite conjugate, got {alpha}")
+    if why := validity.conjugate(f.dim, alpha, q):
+        raise DomainError(f"measure_all {why}")
     beta = alpha / (alpha - 1.0)
     Mq = quad_Mq(f, q, rel_tol=rel_tol)
-    if abs(q - 1.0) < 1e-12:
+    if validity.exponential_branch(q):
         Hq = quad_shannon(f, rel_tol=rel_tol)
         Sq = Hq
         Nq = math.exp(Hq)
@@ -320,7 +322,6 @@ def measure_all(
         Nq = Mq ** (1.0 / (1.0 - q))
     m_alpha = quad_moment(f, alpha, rel_tol=rel_tol)
     I_bq = quad_fisher(f, beta, q, rel_tol=rel_tol)
-    tags = {k: QUADRATURE for k in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")}
     return MeasureSet(
         Mq=Mq,
         Hq=Hq,
@@ -328,7 +329,7 @@ def measure_all(
         Nq=Nq,
         m_alpha=m_alpha,
         I_bq=I_bq,
-        method=tags,
+        method=dict.fromkeys(MEASURE_KEYS, QUADRATURE),
         params_echo=(f.dim, alpha, beta, q),
     )
 
@@ -366,8 +367,8 @@ def uniform_ball(dim: int, radius: float = 1.0) -> RadialDensity:
     continuous and its generalized Fisher information is infinite; only the
     moment and entropy functionals are meaningful for it.
     """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be finite and positive, got {radius!r}")
     n = int(dim)
     level = 1.0 / (unit_sphere_area(n) / n * radius**n)
 

@@ -14,7 +14,8 @@ is all of R^n. Every closed form below chains through the generalized moment
 whose constant was adjudicated against direct quadrature before anything else
 was built: the correct prefactor is (n*omega_n/alpha) * gamma^{-(p+n)/alpha}
 (an often-misprinted 2/alpha variant fails the one-dimensional Gaussian
-normalization by a factor of 2).
+normalization by a factor of 2). The validity bounds and the q = 1 branch
+test live in ``qginfo.validity``.
 """
 
 import math
@@ -22,20 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import validity
 from .errors import DivergenceError, DomainError
-from .measures import CLOSED_FORM, MeasureSet, RadialDensity
+from .measures import CLOSED_FORM, MEASURE_KEYS, MeasureSet, RadialDensity
 from .special import beta_fn, log_gamma, unit_sphere_area
+from .validity import BRANCH_TOL
 
 __all__ = [
     "BRANCH_TOL",
     "QGaussianParams",
-    "GeneralizedMoment",
     "density",
     "radial_profile",
     "radial_profile_derivative",
     "radial_density",
     "mu_pnu",
-    "generalized_moment",
     "partition_fn",
     "closed_Mq",
     "renyi_entropy",
@@ -47,18 +48,15 @@ __all__ = [
     "rescale",
 ]
 
-# |q - 1| below this switches to the exponential branch
-BRANCH_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class QGaussianParams:
     """One member of the generalized Gaussian family.
 
-    Validity of the bare family (existence) is enforced at construction;
-    finiteness of individual measures is exposed as flags (``mq_finite``,
-    ``fisher_finite``) that the closed-form operations consult before
-    evaluating, so no divergent formula is ever computed silently.
+    Existence is enforced at construction; finiteness of individual measures
+    is exposed as flags (``mq_finite``, ``fisher_finite``) that the closed-form
+    operations consult before evaluating, so no divergent formula is ever
+    computed silently. All of these bounds, and the ``exponential_branch``
+    test, come from ``qginfo.validity``.
     """
 
     n: int
@@ -75,17 +73,14 @@ class QGaussianParams:
             raise DomainError(f"gamma must be finite and > 0, got {self.gamma!r}")
         if not math.isfinite(self.q):
             raise DomainError(f"q must be finite, got {self.q!r}")
-        bound = (self.n - self.alpha) / self.n
-        if self.q <= bound:
-            raise DomainError(
-                f"existence requires q > (n-alpha)/n = {bound:g}, got q = {self.q:g}"
-            )
+        if why := validity.existence(self.n, self.alpha, self.q):
+            raise DomainError(f"existence {why}")
 
     @property
     def beta(self) -> float:
         """Holder conjugate of alpha; finite only for alpha > 1."""
-        if self.alpha <= 1:
-            raise DomainError(f"beta = alpha/(alpha-1) requires alpha > 1, got {self.alpha:g}")
+        if why := validity.conjugate(self.n, self.alpha, self.q):
+            raise DomainError(f"beta = alpha/(alpha-1) {why}")
         return self.alpha / (self.alpha - 1.0)
 
     @property
@@ -103,41 +98,24 @@ class QGaussianParams:
 
     @property
     def exponential_branch(self) -> bool:
-        return abs(self.q - 1.0) < BRANCH_TOL
+        return validity.exponential_branch(self.q)
 
     @property
     def support_radius(self) -> float:
         """Edge of the support ball for q > 1, else inf."""
-        if self.q - 1.0 >= BRANCH_TOL:
+        if self.q > 1.0 and not self.exponential_branch:
             return (self.gamma * (self.q - 1.0)) ** (-1.0 / self.alpha)
         return math.inf
 
     @property
     def mq_finite(self) -> bool:
-        """Whether M_q (and with it m_alpha) is finite: q > n/(n+alpha)."""
-        return self.q > self.n / (self.n + self.alpha)
+        """Whether M_q (and with it m_alpha) is finite."""
+        return validity.mq_finite(self.n, self.alpha, self.q) is None
 
     @property
     def fisher_finite(self) -> bool:
-        """Whether the closed-form Fisher information is valid:
-        alpha > 1 and q > max(1-alpha, n/(n+alpha))."""
-        if self.alpha <= 1:
-            return False
-        return self.q > max(1.0 - self.alpha, self.n / (self.n + self.alpha))
-
-
-@dataclass(frozen=True)
-class GeneralizedMoment:
-    """A computed generalized moment mu(p, nu, s) with its defining exponents."""
-
-    p: float
-    nu: float
-    s: float
-    value: float
-
-    def __post_init__(self):
-        if not (self.value > 0):
-            raise DomainError("generalized moment value must be positive")
+        """Whether the closed-form Fisher information is finite."""
+        return validity.fisher_finite(self.n, self.alpha, self.q) is None
 
 
 def mu_pnu(params: QGaussianParams, p: float, nu: float, s: float) -> float:
@@ -171,11 +149,6 @@ def mu_pnu(params: QGaussianParams, p: float, nu: float, s: float) -> float:
     return prefactor * (-s) ** (-a) * beta_fn(a, -nu / s - a)
 
 
-def generalized_moment(params: QGaussianParams, p: float, nu: float, s: float) -> GeneralizedMoment:
-    """mu_pnu bundled with the exponents that define it."""
-    return GeneralizedMoment(p=p, nu=nu, s=s, value=mu_pnu(params, p, nu, s))
-
-
 def _branch_s(params: QGaussianParams) -> float:
     return 0.0 if params.exponential_branch else params.q - 1.0
 
@@ -185,38 +158,47 @@ def partition_fn(params: QGaussianParams) -> float:
     return mu_pnu(params, 0.0, 1.0, _branch_s(params))
 
 
-def _profile_value(params: QGaussianParams, Z: float, r: float) -> float:
-    n, alpha, q, gamma = params.n, params.alpha, params.q, params.gamma
+# The profile and its derivative take a float or an array of radii. They use
+# arithmetic operators only (math.e ** x rather than math.exp or np.exp), so
+# the scalar calls made by the quadrature loops pay no numpy per-call cost.
+
+
+def _profile(params: QGaussianParams, Z: float, r):
+    alpha, q, gamma = params.alpha, params.q, params.gamma
     if params.exponential_branch:
-        return math.exp(-gamma * r**alpha) / Z
+        return math.e ** (-gamma * r**alpha) / Z
     base = 1.0 - (q - 1.0) * gamma * r**alpha
-    if base <= 0.0:
-        return 0.0
-    return base ** (1.0 / (q - 1.0)) / Z
+    # (base + |base|)/2 is max(base, 0) exactly, and +0.0 outside the support
+    return ((base + abs(base)) * 0.5) ** (1.0 / (q - 1.0)) / Z
 
 
-def _profile_derivative_value(params: QGaussianParams, Z: float, r: float) -> float:
-    n, alpha, q, gamma = params.n, params.alpha, params.q, params.gamma
+def _profile_derivative(params: QGaussianParams, Z: float, r):
+    alpha, q, gamma = params.alpha, params.q, params.gamma
+    slope = -gamma * alpha * r ** (alpha - 1.0)
     if params.exponential_branch:
-        return -gamma * alpha * r ** (alpha - 1.0) * math.exp(-gamma * r**alpha) / Z
+        return slope * math.e ** (-gamma * r**alpha) / Z
     base = 1.0 - (q - 1.0) * gamma * r**alpha
-    if base <= 0.0:
-        return 0.0
-    return -gamma * alpha * r ** (alpha - 1.0) * base ** (1.0 / (q - 1.0) - 1.0) / Z
+    inside = base > 0.0
+    # outside the support base is replaced by 1, so that its power stays finite
+    # for q >= 2, and the result is zeroed by the indicator
+    return slope * (base * inside + (1.0 - inside)) ** (1.0 / (q - 1.0) - 1.0) * inside / Z
 
 
-def radial_profile(params: QGaussianParams, r: float) -> float:
-    """Density value at radius r >= 0."""
-    if r < 0:
+def _radius(r):
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
-    return _profile_value(params, partition_fn(params), float(r))
+    return r if r.ndim else float(r)
 
 
-def radial_profile_derivative(params: QGaussianParams, r: float) -> float:
-    """Analytic radial derivative of the density at radius r >= 0."""
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    return _profile_derivative_value(params, partition_fn(params), float(r))
+def radial_profile(params: QGaussianParams, r):
+    """Density value at radius r >= 0 (a float, or an array of radii)."""
+    return _profile(params, partition_fn(params), _radius(r))
+
+
+def radial_profile_derivative(params: QGaussianParams, r):
+    """Analytic radial derivative of the density at radius r >= 0 (float or array)."""
+    return _profile_derivative(params, partition_fn(params), _radius(r))
 
 
 def density(params: QGaussianParams, x) -> float:
@@ -239,10 +221,10 @@ def radial_density(params: QGaussianParams) -> RadialDensity:
     Z = partition_fn(params)
 
     def profile(r: float) -> float:
-        return _profile_value(params, Z, r)
+        return _profile(params, Z, r)
 
     def derivative(r: float) -> float:
-        return _profile_derivative_value(params, Z, r)
+        return _profile_derivative(params, Z, r)
 
     label = (
         f"qgaussian:n={params.n},alpha={params.alpha:g},"
@@ -259,11 +241,8 @@ def radial_density(params: QGaussianParams) -> RadialDensity:
 
 
 def _require_mq_finite(params: QGaussianParams, what: str):
-    if not params.mq_finite:
-        bound = params.n / (params.n + params.alpha)
-        raise DivergenceError(
-            f"{what} diverges: requires q > n/(n+alpha) = {bound:g}, got q = {params.q:g}"
-        )
+    if why := validity.mq_finite(params.n, params.alpha, params.q):
+        raise DivergenceError(f"{what} diverges: {why}")
 
 
 def renyi_entropy(params: QGaussianParams) -> float:
@@ -325,16 +304,11 @@ def closed_moment_alpha(params: QGaussianParams) -> float:
 def closed_fisher(params: QGaussianParams) -> float:
     """Generalized Fisher information (alpha*gamma)^beta * mu(alpha,1,s)/mu(0,1,s)^(beta(q-1)+1).
 
-    Valid for alpha > 1 and q > max(1-alpha, n/(n+alpha)); the expression is
-    continuous through q = 1 where it equals alpha^beta * gamma^(beta/alpha) * n/alpha.
+    Valid for alpha > 1 and q > n/(n+alpha); the expression is continuous
+    through q = 1 where it equals alpha^beta * gamma^(beta/alpha) * n/alpha.
     """
     beta = params.beta
-    lo = max(1.0 - params.alpha, params.n / (params.n + params.alpha))
-    if params.q <= lo:
-        raise DivergenceError(
-            f"I_bq diverges: requires q > max(1-alpha, n/(n+alpha)) = {lo:g}, "
-            f"got q = {params.q:g}"
-        )
+    _require_mq_finite(params, "I_bq")
     s = _branch_s(params)
     num = mu_pnu(params, params.alpha, 1.0, s)
     den = mu_pnu(params, 0.0, 1.0, s) ** (beta * (params.q - 1.0) + 1.0)
@@ -348,7 +322,6 @@ def closed_measures(params: QGaussianParams) -> MeasureSet:
     Hq = renyi_entropy(params)
     Sq = tsallis_entropy(params)
     Nq = entropy_power(params)
-    tags = {k: CLOSED_FORM for k in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")}
     return MeasureSet(
         Mq=Mq,
         Hq=Hq,
@@ -356,7 +329,7 @@ def closed_measures(params: QGaussianParams) -> MeasureSet:
         Nq=Nq,
         m_alpha=closed_moment_alpha(params),
         I_bq=closed_fisher(params),
-        method=tags,
+        method=dict.fromkeys(MEASURE_KEYS, CLOSED_FORM),
         params_echo=(params.n, params.alpha, beta, params.q),
     )
 
@@ -389,7 +362,6 @@ def rescale(params: QGaussianParams, gamma_new: float) -> MeasureSet:
         Hq = math.log(Mq) / (1.0 - q)
         Sq = (1.0 - Mq) / (q - 1.0)
         Nq = Mq ** (1.0 / (1.0 - q))
-    tags = {k: CLOSED_FORM for k in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")}
     return MeasureSet(
         Mq=Mq,
         Hq=Hq,
@@ -397,6 +369,6 @@ def rescale(params: QGaussianParams, gamma_new: float) -> MeasureSet:
         Nq=Nq,
         m_alpha=m_alpha,
         I_bq=I_bq,
-        method=tags,
+        method=dict.fromkeys(MEASURE_KEYS, CLOSED_FORM),
         params_echo=(n, alpha, beta, q),
     )

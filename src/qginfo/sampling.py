@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError
-from .qgaussian import BRANCH_TOL, QGaussianParams
+from .qgaussian import QGaussianParams
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -51,7 +51,7 @@ class SampleBatch:
 
 def _law_parameters(params: QGaussianParams):
     a = params.n / params.alpha
-    if abs(params.q - 1.0) < BRANCH_TOL:
+    if params.exponential_branch:
         return "gamma", a, None
     if params.q > 1.0:
         return "beta", a, 1.0 / (params.q - 1.0) + 1.0

@@ -31,12 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import validity
 from .errors import ConvergenceError, DomainError
 from .qgaussian import (
     QGaussianParams,
     closed_fisher,
     closed_moment_alpha,
     partition_fn,
+    radial_profile,
+    radial_profile_derivative,
 )
 from .sampling import radial_quantile, radial_tail_mass
 from .special import unit_sphere_area
@@ -118,19 +121,15 @@ def make_problem(
         raise DomainError(f"m_target must be finite and positive, got {m_target!r}")
     if num_nodes < 50:
         raise DomainError("need at least 50 radial nodes")
+    QGaussianParams(n=n, alpha=alpha, q=q)  # n, alpha and q must be valid before the bounds
+    for subject, bound in (("moment constraint unreachable:", validity.mq_finite),
+                           ("the Dirichlet reformulation needs k > 0:", validity.k_positive)):
+        if why := bound(n, alpha, q):
+            raise DomainError(f"{subject} {why}")
     scale = 1.0 + (q - 1.0) * (n + alpha) / alpha
-    if scale <= 0:
-        raise DomainError(
-            f"moment constraint unreachable: requires q > n/(n+alpha) = {n/(n+alpha):g}"
-        )
     gamma_star = (n / alpha) / (m_target * scale)
     params = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma_star)
     beta = params.beta
-    if beta * (q - 1.0) + 1.0 <= 0:
-        raise DomainError(
-            "the Dirichlet reformulation needs k > 0, i.e. q > 1 - 1/beta = "
-            f"{1.0 - 1.0 / beta:g}; got q = {q:g}"
-        )
     if R is None:
         if math.isfinite(params.support_radius):
             R = 1.05 * params.support_radius
@@ -145,17 +144,9 @@ def make_problem(
     )
 
 
-def _profile_on_grid(params: QGaussianParams, r: np.ndarray) -> np.ndarray:
-    Z = partition_fn(params)
-    if params.exponential_branch:
-        return np.exp(-params.gamma * r**params.alpha) / Z
-    base = 1.0 - (params.q - 1.0) * params.gamma * r**params.alpha
-    return np.maximum(base, 0.0) ** (1.0 / (params.q - 1.0)) / Z
-
-
 def extremal_profile(problem: VariationalProblem) -> np.ndarray:
     """u = G^{1/k} of the extremal member, sampled on the problem grid."""
-    return _profile_on_grid(problem.extremal_params, problem.grid) ** (1.0 / problem.k)
+    return radial_profile(problem.extremal_params, problem.grid) ** (1.0 / problem.k)
 
 
 class _Discretization:
@@ -222,7 +213,7 @@ def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretizati
         detuned = QGaussianParams(
             n=problem.n, alpha=problem.alpha, q=problem.q, gamma=2.0 * problem.gamma_star
         )
-        u = _profile_on_grid(detuned, r) ** (1.0 / k)
+        u = radial_profile(detuned, r) ** (1.0 / k)
     else:
         raise DomainError(f"init must be one of {INITS}, got {init!r}")
     mass = float(disc.wgeo @ u**k)
@@ -311,10 +302,10 @@ def analytic_multipliers(params: QGaussianParams) -> tuple:
     A = (beta/k)^beta (gamma/(beta-1))^{beta-1} Z^{(k-beta)/k}, a = -A n,
     b = A (1 + n(q-1)) gamma. Requires k > 0.
     """
+    if why := validity.k_positive(params.n, params.alpha, params.q):
+        raise DomainError(f"analytic multipliers {why}")
     beta = params.beta
     k = params.k
-    if k <= 0:
-        raise DomainError(f"analytic multipliers require k > 0, got k = {k:g}")
     Z = partition_fn(params)
     A = (
         (beta / k) ** beta
@@ -335,30 +326,19 @@ def euler_lagrange_residual(params: QGaussianParams, *, num_points: int = 41) ->
     the residual is normalized by the largest magnitude of either equation
     term over the grid.
     """
-    n, alpha, q, gamma = params.n, params.alpha, params.q, params.gamma
-    beta = params.beta
-    k = params.k
+    n, alpha, beta, k = params.n, params.alpha, params.beta, params.k
     a, b, A = analytic_multipliers(params)
-    Z = partition_fn(params)
     if math.isfinite(params.support_radius):
         rmax = params.support_radius
     else:
         rmax = float(radial_quantile(params, 0.999))
 
     def u_value(r: np.ndarray) -> np.ndarray:
-        return _profile_on_grid(params, r) ** (1.0 / k)
+        return radial_profile(params, r) ** (1.0 / k)
 
     def u_prime(r: np.ndarray) -> np.ndarray:
-        if params.exponential_branch:
-            return -(gamma * alpha / beta) * r ** (alpha - 1.0) * u_value(r)
-        base = 1.0 - (q - 1.0) * gamma * r**alpha
-        expo = 1.0 / (k * (q - 1.0)) - 1.0
-        return (
-            -(Z ** (-1.0 / k))
-            * (gamma * alpha / k)
-            * r ** (alpha - 1.0)
-            * np.maximum(base, 0.0) ** expo
-        )
+        # (G^{1/k})' = G' G^{1/k - 1} / k
+        return radial_profile_derivative(params, r) * u_value(r) ** (1.0 - k) / k
 
     def flux(r: np.ndarray) -> np.ndarray:
         d = u_prime(r)

@@ -13,6 +13,7 @@ from qginfo.inequalities import (
     check_fisher_moment_entropy,
     check_moment_entropy,
     check_stam,
+    inapplicable,
 )
 from qginfo.measures import gaussian_mixture, truncated_exponential, uniform_ball
 from qginfo.qgaussian import QGaussianParams, radial_density
@@ -138,6 +139,19 @@ class TestPreconditions:
         f = gaussian_mixture(1, MIX_A)
         with pytest.raises(DomainError):
             check_fisher_moment_entropy(f, 1.0, 1.0)
+
+    def test_inapplicable_reasons_in_request_order(self):
+        # the reasons verify --all reports under "skipped", word for word
+        reasons = inapplicable(uniform_ball(2, 1.0), 2.0, 1.0)
+        assert list(reasons) == ["fisher-moment-entropy", "stam", "cramer-rao"]
+        assert reasons["stam"] == ("uniform-ball:n=2,radius=1: profile is not absolutely "
+                                   "continuous; its generalized Fisher information is infinite")
+        assert inapplicable(gaussian_mixture(3, MIX_A), 2.0, 0.62) == {
+            "stam": "stam requires q > (n-1)/n = 0.666667, got q = 0.62",
+            "cramer-rao": "cramer-rao requires q > (n-1)/n = 0.666667, got q = 0.62",
+        }
+        assert inapplicable(gaussian_mixture(1, MIX_A), 2.0, -0.5)["fisher-moment-entropy"] == (
+            "fisher-moment-entropy requires q > 0, got q = -0.5")
 
     def test_moment_entropy_allows_alpha_one(self):
         report = check_moment_entropy(gaussian_mixture(1, MIX_A), 1.0, 1.0)
