@@ -7,140 +7,19 @@ inequalities with equality detection; exact inverse-CDF sampling; and a
 constrained variational solver that recovers the extremal profile.
 """
 
-from .errors import ConvergenceError, DivergenceError, DomainError, ZeroDensityError
-from .inequalities import (
-    DEFAULT_EQ_TOL,
-    DEFAULT_REL_TOL,
-    INEQUALITY_NAMES,
-    InequalityReport,
-    check_all,
-    check_cramer_rao,
-    check_fisher_moment_entropy,
-    check_moment_entropy,
-    check_stam,
-    inapplicable,
-)
-from .measures import (
-    CLOSED_FORM,
-    QUADRATURE,
-    MeasureSet,
-    RadialDensity,
-    gaussian_mixture,
-    measure_all,
-    quad_Mq,
-    quad_fisher,
-    quad_moment,
-    quad_shannon,
-    table_profile,
-    truncated_exponential,
-    uniform_ball,
-)
-from .qgaussian import (
-    BRANCH_TOL,
-    QGaussianParams,
-    closed_fisher,
-    closed_measures,
-    closed_moment_alpha,
-    closed_Mq,
-    density,
-    entropy_power,
-    mu_pnu,
-    partition_fn,
-    radial_density,
-    radial_profile,
-    radial_profile_derivative,
-    renyi_entropy,
-    rescale,
-    tsallis_entropy,
-)
-from .sampling import (
-    RNG_ALGORITHM,
-    SampleBatch,
-    empirical_moment,
-    radial_cdf,
-    radial_quantile,
-    radial_tail_mass,
-    sample,
-)
-from .special import beta_fn, log_gamma, unit_ball_volume, unit_sphere_area
-from .variational import (
-    INITS,
-    VariationalProblem,
-    VariationalSolution,
-    analytic_multipliers,
-    check_proposition1,
-    euler_lagrange_residual,
-    extremal_profile,
-    make_problem,
-    proposition1_closed_gap,
-    solve,
-)
+from . import errors, inequalities, measures, qgaussian, sampling, special, variational
+from .errors import *  # noqa: F403
+from .inequalities import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .qgaussian import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .special import *  # noqa: F403
+from .variational import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BRANCH_TOL",
-    "CLOSED_FORM",
-    "ConvergenceError",
-    "DEFAULT_EQ_TOL",
-    "DEFAULT_REL_TOL",
-    "DivergenceError",
-    "DomainError",
-    "INEQUALITY_NAMES",
-    "INITS",
-    "InequalityReport",
-    "MeasureSet",
-    "QGaussianParams",
-    "QUADRATURE",
-    "RNG_ALGORITHM",
-    "RadialDensity",
-    "SampleBatch",
-    "VariationalProblem",
-    "VariationalSolution",
-    "ZeroDensityError",
-    "analytic_multipliers",
-    "beta_fn",
-    "check_all",
-    "check_cramer_rao",
-    "check_fisher_moment_entropy",
-    "check_moment_entropy",
-    "check_proposition1",
-    "check_stam",
-    "closed_Mq",
-    "closed_fisher",
-    "closed_measures",
-    "closed_moment_alpha",
-    "density",
-    "empirical_moment",
-    "entropy_power",
-    "euler_lagrange_residual",
-    "extremal_profile",
-    "gaussian_mixture",
-    "inapplicable",
-    "log_gamma",
-    "make_problem",
-    "measure_all",
-    "mu_pnu",
-    "partition_fn",
-    "proposition1_closed_gap",
-    "quad_Mq",
-    "quad_fisher",
-    "quad_moment",
-    "quad_shannon",
-    "radial_cdf",
-    "radial_density",
-    "radial_profile",
-    "radial_profile_derivative",
-    "radial_quantile",
-    "radial_tail_mass",
-    "renyi_entropy",
-    "rescale",
-    "sample",
-    "solve",
-    "table_profile",
-    "truncated_exponential",
-    "tsallis_entropy",
-    "uniform_ball",
-    "unit_ball_volume",
-    "unit_sphere_area",
-]
+__all__ = sorted(
+    name
+    for module in (errors, inequalities, measures, qgaussian, sampling, special, variational)
+    for name in module.__all__
+)

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import validity
 from .errors import ConvergenceError, DomainError, ZeroDensityError
@@ -50,7 +49,7 @@ from .variational import (
     solve,
 )
 
-__all__ = ["RunConfig", "main", "cmd_measures", "cmd_verify", "cmd_sweep", "cmd_sample", "cmd_minimize"]
+__all__ = ["main", "cmd_measures", "cmd_verify", "cmd_sweep", "cmd_sample", "cmd_minimize"]
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -59,35 +58,6 @@ EXIT_VIOLATED = 4
 
 # largest sweep grid accepted, counted before any grid list is built
 MAX_SWEEP_ROWS = 100_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, echoed into every report so runs are replayable."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    density: str | None = None
-    tolerances: dict | None = None
-    seed: int | None = None
-    count: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    extra: dict | None = None
-
-    def as_dict(self) -> dict:
-        d = {"subcommand": self.subcommand, "params": self.params, "format": self.fmt}
-        if self.density is not None:
-            d["density"] = self.density
-        if self.tolerances is not None:
-            d["tolerances"] = self.tolerances
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.count is not None:
-            d["count"] = self.count
-        if self.extra:
-            d.update(self.extra)
-        return d
 
 
 def _emit(text: str, out: str | None):
@@ -104,9 +74,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, default=float)
 
 
-def _csv_text(config: RunConfig, header, rows) -> str:
+def _csv_text(config: dict, header, rows) -> str:
     buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(config.as_dict(), default=float)}\n")
+    buf.write(f"# config: {json.dumps(config, default=float)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
@@ -162,6 +132,8 @@ def _resolve_density(args) -> RadialDensity:
                     r, v = float(row[0]), float(row[1])
                 except ValueError:
                     continue  # header line
+                except IndexError:
+                    raise DomainError(f"{path} row {row!r} needs two fields: radius,value") from None
                 radii.append(r)
                 values.append(v)
         return table_profile(args.n, radii, values, descriptor=spec)
@@ -174,14 +146,13 @@ def _resolve_density(args) -> RadialDensity:
 def cmd_measures(args) -> int:
     params = _params_from(args)
     _gate_flags(params)
-    config = RunConfig(
-        subcommand="measures",
-        params={"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
-        fmt=args.format,
-        out=args.out,
-        extra={"method": args.method},
-    )
-    payload: dict = {"config": config.as_dict(), "Z": partition_fn(params)}
+    config = {
+        "subcommand": "measures",
+        "params": {"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
+        "format": args.format,
+        "method": args.method,
+    }
+    payload: dict = {"config": config, "Z": partition_fn(params)}
     if args.method in ("closed", "both"):
         payload["closed"] = closed_measures(params).as_dict()
     if args.method in ("quadrature", "both"):
@@ -194,7 +165,7 @@ def cmd_measures(args) -> int:
         payload["max_rel_gap"] = max(gaps.values())
     if args.format == "csv":
         columns = [m for m in ("closed", "quadrature") if m in payload]
-        rows = ([key.lower(), *(repr(payload[m][key]) for m in columns)] for key in MEASURE_KEYS)
+        rows = ([key.lower(), *(payload[m][key] for m in columns)] for key in MEASURE_KEYS)
         _emit(_csv_text(config, ["measure", *columns], rows), args.out)
     else:
         _emit(_json_text(payload), args.out)
@@ -205,31 +176,29 @@ def cmd_verify(args) -> int:
     names = INEQUALITY_NAMES if args.all or not args.ineq else tuple(args.ineq)
     for flag, tol in (("--rel-tol", args.rel_tol), ("--eq-tol", args.eq_tol)):
         if not (math.isfinite(tol) and tol >= 0):
-            raise DomainError(f"{flag} must be finite and >= 0, got {tol!r}")
+            raise DomainError(f"{flag} must be finite and >= 0, got {tol}")
     density = _resolve_density(args)
-    config = RunConfig(
-        subcommand="verify",
-        params={"n": args.n, "alpha": args.alpha, "q": args.q, "gamma": args.gamma},
-        density=args.density,
-        tolerances={"rel_tol": args.rel_tol, "eq_tol": args.eq_tol},
-        fmt=args.format,
-        out=args.out,
-        extra={"inequalities": list(names)},
-    )
+    config = {
+        "subcommand": "verify",
+        "params": {"n": args.n, "alpha": args.alpha, "q": args.q, "gamma": args.gamma},
+        "format": args.format,
+        "density": args.density,
+        "tolerances": {"rel_tol": args.rel_tol, "eq_tol": args.eq_tol},
+        "inequalities": list(names),
+    }
     # --all runs whatever applies and records why the rest do not; an explicit
     # request that does not apply is an error raised by check_all
     skipped = inapplicable(density, args.alpha, args.q, names) if args.all else {}
     reports = check_all(density, args.alpha, args.q, rel_tol=args.rel_tol, eq_tol=args.eq_tol,
                         names=[name for name in names if name not in skipped])
     payload = {
-        "config": config.as_dict(),
+        "config": config,
         "reports": [r.as_dict() for r in reports],
         "skipped": [{"name": name, "reason": reason} for name, reason in skipped.items()],
     }
     if args.format == "csv":
         header = ["name", "lhs", "rhs", "ratio", "deficit", "passes", "equality"]
-        rows = ([r.name, repr(r.lhs), repr(r.rhs), repr(r.ratio), repr(r.deficit), r.passes,
-                 r.equality] for r in reports)
+        rows = ([r.name, r.lhs, r.rhs, r.ratio, r.deficit, r.passes, r.equality] for r in reports)
         _emit(_csv_text(config, header, rows), args.out)
     else:
         _emit(_json_text(payload), args.out)
@@ -267,7 +236,7 @@ def _parse_grid(text: str, integer: bool = False) -> list:
         out = []
         for v in values:
             if not v.is_integer():
-                raise DomainError(f"grid value {v!r} must be an integer")
+                raise DomainError(f"grid value {v} must be an integer")
             out.append(int(v))
         return out
     return values
@@ -316,37 +285,31 @@ def cmd_sweep(args) -> int:
     ]
     if not tuples:
         raise DomainError("sweep grid is empty")
-    config = RunConfig(subcommand="sweep", params=dict(grids), fmt="csv", out=args.out)
+    config = {"subcommand": "sweep", "params": grids, "format": "csv"}
     rows = [_sweep_row(t) for t in tuples]
     columns = ["n", "alpha", "q", "gamma", *MEASURE_KEYS, *_SWEEP_DEFICITS.values(), "error"]
-    cells = ([repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "") for c in columns]
-             for row in rows)
+    cells = ([row.get(c, "") for c in columns] for row in rows)
     _emit(_csv_text(config, [c.lower() for c in columns], cells), args.out)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     params = _params_from(args)
-    config = RunConfig(
-        subcommand="sample",
-        params={"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
-        seed=args.seed,
-        count=args.count,
-        fmt="csv",
-        out=args.out,
-        extra={"rng": RNG_ALGORITHM},
-    )
+    config = {
+        "subcommand": "sample",
+        "params": {"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
+        "format": "csv",
+        "seed": args.seed,
+        "count": args.count,
+        "rng": RNG_ALGORITHM,
+    }
     batch = sample(params, args.count, args.seed)
-    rows = ([repr(float(v)) for v in point] for point in batch.points)
+    # one row at a time: a whole-batch tolist() would hold every coordinate as a Python float
+    rows = (point.tolist() for point in batch.points)
     _emit(_csv_text(config, [f"x{i + 1}" for i in range(params.n)], rows), args.out)
     if args.out:
         estimate, se = empirical_moment(batch, params.alpha)
-        summary = {
-            "config": config.as_dict(),
-            "empirical_m_alpha": estimate,
-            "std_error": se,
-        }
-        print(_json_text(summary))
+        print(_json_text({"config": config, "empirical_m_alpha": estimate, "std_error": se}))
     return EXIT_OK
 
 
@@ -354,25 +317,25 @@ def cmd_minimize(args) -> int:
     problem = make_problem(args.n, args.alpha, args.q, args.moment, num_nodes=args.nodes)
     solution = solve(problem, init=args.init)
     lhs, rhs, gap = check_proposition1(solution, problem)
-    config = RunConfig(
-        subcommand="minimize",
-        params={"n": args.n, "alpha": args.alpha, "q": args.q},
-        fmt=args.format,
-        out=args.out,
-        extra={"moment": args.moment, "nodes": args.nodes, "init": args.init},
-    )
+    config = {
+        "subcommand": "minimize",
+        "params": {"n": args.n, "alpha": args.alpha, "q": args.q},
+        "format": args.format,
+        "moment": args.moment,
+        "nodes": args.nodes,
+        "init": args.init,
+    }
     if args.format == "csv":
         closed = extremal_profile(problem)
-        rows = ([repr(float(v)) for v in values]
-                for values in zip(problem.grid, solution.u_values, closed))
+        rows = zip(problem.grid.tolist(), solution.u_values.tolist(), closed.tolist())
         _emit(_csv_text(config, ["r", "u", "closed_form_u"], rows), args.out)
         print(_json_text({"objective": solution.objective,
                           "prop1": {"lhs": lhs, "rhs": rhs, "rel_gap": gap}}))
     else:
         payload = {
-            "config": config.as_dict(),
-            "grid": [float(v) for v in problem.grid],
-            "u_values": [float(v) for v in solution.u_values],
+            "config": config,
+            "grid": problem.grid.tolist(),
+            "u_values": solution.u_values.tolist(),
             "objective": solution.objective,
             "multipliers": {"a": solution.multipliers[0], "b": solution.multipliers[1]},
             "constraints": {
@@ -408,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="closed")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("verify", help="evaluate inequality reports on a density")
     _add_param_flags(p)
@@ -420,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq-tol", type=float, default=DEFAULT_EQ_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="grid sweep of measures and deficits to CSV")
     p.add_argument("--n", default="1", help="grid: value, comma list, or start:stop:step")
@@ -428,14 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="1")
     p.add_argument("--gamma", default="1")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sample", help="reproducible draws exported as CSV")
     _add_param_flags(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("minimize", help="solve the constrained Dirichlet problem")
     p.add_argument("--n", type=int, default=1)
@@ -446,15 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=INITS, default="exponential")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_minimize)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a command replaced on the module is the one that runs
+        return globals()["cmd_" + args.subcommand](args)
     except (DomainError, ZeroDensityError, ValueError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except (ArithmeticError, ConvergenceError) as exc:

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["DomainError", "DivergenceError", "ZeroDensityError", "ConvergenceError"]
+
 
 class DomainError(ValueError):
     """A parameter lies outside the validity domain of the requested quantity."""

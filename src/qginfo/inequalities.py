@@ -50,6 +50,8 @@ from .qgaussian import (
 )
 
 __all__ = [
+    "DEFAULT_REL_TOL",
+    "DEFAULT_EQ_TOL",
     "INEQUALITY_NAMES",
     "InequalityReport",
     "check_fisher_moment_entropy",

@@ -343,8 +343,8 @@ def gaussian_mixture(dim: int, components, descriptor: str | None = None) -> Rad
     comps = [(float(w), float(v)) for w, v in components]
     if not comps:
         raise DomainError("mixture needs at least one component")
-    if any(w <= 0 for w, _ in comps) or any(v <= 0 for _, v in comps):
-        raise DomainError("mixture weights and variances must be positive")
+    if not all(math.isfinite(x) and x > 0 for comp in comps for x in comp):
+        raise DomainError("mixture weights and variances must be finite and positive")
     wsum = sum(w for w, _ in comps)
     comps = [(w / wsum, v) for w, v in comps]
     n = int(dim)

@@ -45,6 +45,7 @@ from .sampling import radial_quantile, radial_tail_mass
 from .special import unit_sphere_area
 
 __all__ = [
+    "INITS",
     "VariationalProblem",
     "VariationalSolution",
     "make_problem",
@@ -60,6 +61,14 @@ INITS = ("flat", "exponential", "qgaussian-detuned")
 
 # |u'|^beta smoothing used when beta < 2 makes the integrand non-smooth at 0
 _SMOOTHING_EPS = 1e-8
+
+# largest radial grid accepted; L-BFGS-B's work arrays hold about 65 doubles
+# per node, so this caps them near 50 MB
+MAX_NODES = 100_001
+
+# augmented-Lagrangian budget: outer steps, and the constraint violation that ends them
+_MAX_OUTER = 40
+_CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,25 +111,21 @@ class VariationalSolution:
     problem: VariationalProblem
 
 
-def make_problem(
-    n: int,
-    alpha: float,
-    q: float,
-    m_target: float,
-    *,
-    num_nodes: int = 1601,
-    R: float | None = None,
-) -> VariationalProblem:
+def make_problem(n: int, alpha: float, q: float, m_target: float, *,
+                 num_nodes: int = 1601) -> VariationalProblem:
     """Set up the discretized problem for a prescribed moment m_target.
 
     The truncation radius is 1.05 times the support radius when the support is
     compact, else large enough that the extremal member's tail mass is below
-    1e-10, so the zero boundary value is exact to solver tolerance.
+    1e-10, so the zero boundary value is exact to solver tolerance. The grid
+    has between 50 and MAX_NODES nodes.
     """
     if not (math.isfinite(m_target) and m_target > 0):
         raise DomainError(f"m_target must be finite and positive, got {m_target!r}")
     if num_nodes < 50:
         raise DomainError("need at least 50 radial nodes")
+    if num_nodes > MAX_NODES:
+        raise DomainError(f"at most {MAX_NODES} radial nodes, got {num_nodes}")
     QGaussianParams(n=n, alpha=alpha, q=q)  # n, alpha and q must be valid before the bounds
     for subject, bound in (("moment constraint unreachable:", validity.mq_finite),
                            ("the Dirichlet reformulation needs k > 0:", validity.k_positive)):
@@ -130,13 +135,12 @@ def make_problem(
     gamma_star = (n / alpha) / (m_target * scale)
     params = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma_star)
     beta = params.beta
-    if R is None:
-        if math.isfinite(params.support_radius):
-            R = 1.05 * params.support_radius
-        else:
-            R = float(radial_quantile(params, 0.999))
-            while radial_tail_mass(params, R) > 1e-10:
-                R *= 1.5
+    if math.isfinite(params.support_radius):
+        R = 1.05 * params.support_radius
+    else:
+        R = float(radial_quantile(params, 0.999))
+        while radial_tail_mass(params, R) > 1e-10:
+            R *= 1.5
     grid = np.linspace(0.0, float(R), int(num_nodes))
     return VariationalProblem(
         n=n, alpha=alpha, beta=beta, q=q, m_target=float(m_target),
@@ -222,13 +226,7 @@ def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretizati
     return u * mass ** (-1.0 / k)
 
 
-def solve(
-    problem: VariationalProblem,
-    init: str = "exponential",
-    *,
-    max_outer: int = 40,
-    constraint_tol: float = 1e-9,
-) -> VariationalSolution:
+def solve(problem: VariationalProblem, init: str = "exponential") -> VariationalSolution:
     """Minimize the discrete Dirichlet energy under both constraints.
 
     Augmented-Lagrangian outer loop; the inner subproblems are solved by
@@ -246,7 +244,7 @@ def solve(
     total_inner = 0
     previous_violation = math.inf
     converged = False
-    for outer in range(max_outer):
+    for outer in range(_MAX_OUTER):
         def al_objective(x):
             e, ge = disc.energy(x)
             c, jac = disc.constraints(x)
@@ -268,7 +266,7 @@ def solve(
         c, _ = disc.constraints(u)
         violation = float(np.max(np.abs(c)))
         lam = lam + rho * c
-        if violation < constraint_tol:
+        if violation < _CONSTRAINT_TOL:
             converged = True
             break
         if violation > 0.25 * previous_violation:
@@ -289,7 +287,7 @@ def solve(
     )
     if not converged:
         raise ConvergenceError(
-            f"constraints not met after {max_outer} outer iterations "
+            f"constraints not met after {_MAX_OUTER} outer iterations "
             f"(violation {float(np.max(np.abs(c))):.3e})",
             last_iterate=solution,
         )

@@ -1,0 +1,59 @@
+"""The package root re-exports each module's public names, and nothing is lost."""
+
+import importlib
+
+import pytest
+
+import qginfo
+
+# every name exported by qginfo 1.0.0, by the module that declares it
+EXPORTED = {
+    "errors": ("ConvergenceError", "DivergenceError", "DomainError", "ZeroDensityError"),
+    "inequalities": (
+        "DEFAULT_EQ_TOL", "DEFAULT_REL_TOL", "INEQUALITY_NAMES", "InequalityReport",
+        "check_all", "check_cramer_rao", "check_fisher_moment_entropy",
+        "check_moment_entropy", "check_stam", "inapplicable",
+    ),
+    "measures": (
+        "CLOSED_FORM", "QUADRATURE", "MeasureSet", "RadialDensity", "gaussian_mixture",
+        "measure_all", "quad_Mq", "quad_fisher", "quad_moment", "quad_shannon",
+        "table_profile", "truncated_exponential", "uniform_ball",
+    ),
+    "qgaussian": (
+        "BRANCH_TOL", "QGaussianParams", "closed_Mq", "closed_fisher", "closed_measures",
+        "closed_moment_alpha", "density", "entropy_power", "mu_pnu", "partition_fn",
+        "radial_density", "radial_profile", "radial_profile_derivative", "renyi_entropy",
+        "rescale", "tsallis_entropy",
+    ),
+    "sampling": (
+        "RNG_ALGORITHM", "SampleBatch", "empirical_moment", "radial_cdf", "radial_quantile",
+        "radial_tail_mass", "sample",
+    ),
+    "special": ("beta_fn", "log_gamma", "unit_ball_volume", "unit_sphere_area"),
+    "variational": (
+        "INITS", "VariationalProblem", "VariationalSolution", "analytic_multipliers",
+        "check_proposition1", "euler_lagrange_residual", "extremal_profile", "make_problem",
+        "proposition1_closed_gap", "solve",
+    ),
+}
+
+
+def test_every_released_name_is_still_exported():
+    released = {name for names in EXPORTED.values() for name in names}
+    assert len(released) == 64
+    assert released <= set(qginfo.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_root_names_are_the_module_objects(module):
+    mod = importlib.import_module(f"qginfo.{module}")
+    for name in EXPORTED[module]:
+        assert name in mod.__all__
+        assert getattr(qginfo, name) is getattr(mod, name)
+
+
+def test_root_exports_exactly_the_module_lists():
+    declared = {name for module in EXPORTED for name in importlib.import_module(
+        f"qginfo.{module}").__all__}
+    assert set(qginfo.__all__) == declared
+    assert len(qginfo.__all__) == len(declared)

@@ -77,6 +77,9 @@ class TestExitCodes:
         ["verify", "--all", "--eq-tol", "inf"],
         ["verify", "--all", "--density", "uniform-ball:inf"],
         ["verify", "--all", "--density", "uniform-ball:nan"],
+        ["verify", "--all", "--density", "mixture:1,0,nan"],
+        ["verify", "--all", "--density", "mixture:inf,0,1"],
+        ["verify", "--all", "--density", "mixture:1,0,inf"],
     ])
     def test_non_finite_tolerance_or_radius_is_invalid_input(self, argv, capsys):
         code, _, _ = run(argv, capsys)
@@ -185,6 +188,13 @@ class TestVerifyCommand:
             capsys,
         )
         assert code == 2
+
+    def test_profile_row_without_value_is_invalid_input(self, tmp_path, capsys):
+        table = tmp_path / "short.csv"
+        table.write_text("r,f\n0,1\n0.5\n1,0.5\n2,0.1\n3,0\n", encoding="utf-8")
+        code, _, err = run(["verify", "--all", "--density", f"profile:{table}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "['0.5']" in err
 
 
 class TestSweepCommand:
@@ -367,3 +377,58 @@ def _exit_code(argv) -> int:
 @example(["verify", "--all", "--density", "uniform-ball:1e300"])
 def test_exit_code_contract_holds_on_any_input(argv):
     assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+# --- frozen output ----------------------------------------------------------
+# exact bytes of three reports; csv rows end in \r\n, the config line in \n
+
+_FROZEN = {
+    ("sample", "--n", "2", "--count", "3", "--seed", "7"): (
+        '# config: {"subcommand": "sample", "params": {"n": 2, "alpha": 2.0, "q": 1.0, '
+        '"gamma": 1.0}, "format": "csv", "seed": 7, "count": 3, "rng": "PCG64"}\n'
+        "x1,x2\r\n"
+        "-0.8821815658234142,-0.45037711748700354\r\n"
+        "-1.5055782929918018,0.0913136863903609\r\n"
+        "1.147633414132491,-0.4214790491430393\r\n"
+    ),
+    ("measures", "--format", "csv", "--method", "both"): (
+        '# config: {"subcommand": "measures", "params": {"n": 1, "alpha": 2.0, "q": 1.0, '
+        '"gamma": 1.0}, "format": "csv", "method": "both"}\n'
+        "measure,closed,quadrature\r\n"
+        "mq,1.0,1.0000000000000002\r\n"
+        "hq,1.0723649429247,1.0723649429247004\r\n"
+        "sq,1.0723649429247,1.0723649429247004\r\n"
+        "nq,2.9222823653222774,2.9222823653222787\r\n"
+        "m_alpha,0.5,0.5000000000000001\r\n"
+        "i_bq,2.0,2.0\r\n"
+    ),
+    ("verify", "--format", "csv", "--n", "2", "--q", "1.2"): (
+        '# config: {"subcommand": "verify", "params": {"n": 2, "alpha": 2.0, "q": 1.2, '
+        '"gamma": 1.0}, "format": "csv", "density": "qgaussian", "tolerances": '
+        '{"rel_tol": 1e-06, "eq_tol": 1e-05}, "inequalities": ["fisher-moment-entropy", '
+        '"moment-entropy", "stam", "cramer-rao"]}\n'
+        "name,lhs,rhs,ratio,deficit,passes,equality\r\n"
+        "fisher-moment-entropy,1.178442060157868,1.178442060157867,1.0000000000000009,"
+        "8.881784197001252e-16,True,True\r\n"
+        "moment-entropy,0.3552913995519398,0.3552913995519398,1.0,0.0,True,True\r\n"
+        "stam,9.098056924661433,9.098056924661433,1.0,0.0,True,True\r\n"
+        "cramer-rao,1.07166493223171,1.07166493223171,1.0,0.0,True,True\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_FROZEN), ids=lambda argv: argv[0])
+def test_report_bytes_frozen(argv, capsys):
+    code, out, err = run(list(argv), capsys)
+    assert (code, err) == (0, "")
+    assert out == _FROZEN[argv]
+
+
+def test_command_is_looked_up_when_called(monkeypatch, capsys):
+    # the parser is built once; a command replaced on the module must still run
+    import qginfo.cli
+
+    calls = []
+    monkeypatch.setattr(qginfo.cli, "cmd_sweep", lambda args: calls.append(args.q) or 0)
+    assert main(["sweep", "--q", "1.5"]) == 0
+    assert calls == ["1.5"]

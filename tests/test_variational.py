@@ -9,6 +9,7 @@ from qginfo.errors import ConvergenceError, DomainError
 from qginfo.qgaussian import QGaussianParams, closed_fisher, closed_moment_alpha
 from qginfo.variational import (
     INITS,
+    MAX_NODES,
     VariationalSolution,
     analytic_multipliers,
     check_proposition1,
@@ -107,6 +108,10 @@ class TestMakeProblem:
             make_problem(1, 2.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             make_problem(1, 2.0, 1.0, math.inf)
+
+    def test_node_count_capped_before_the_grid_is_built(self):
+        with pytest.raises(DomainError, match="radial nodes"):
+            make_problem(1, 2.0, 1.0, 1.0, num_nodes=MAX_NODES + 1)
 
     def test_unreachable_moment_constraint(self):
         # q at the divergence bound: no family member has a finite moment
