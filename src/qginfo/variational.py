@@ -7,8 +7,11 @@ with a prescribed elliptic moment m becomes a Dirichlet-type problem
     subject to  int u^k = 1   and   int |x|^alpha u^k = m,
 
 whose radial discretization this module solves with an augmented-Lagrangian
-outer loop around a bound-constrained quasi-Newton inner solver. The converged
-multiplier estimates (a, b) are exactly the Lagrange data of
+outer loop around projected Newton steps on u >= 0. The energy takes a
+fourth-order staggered derivative at the interval midpoints, so its Hessian
+is banded and a grid-scale odd-even mode costs energy; each Newton step is one
+banded solve and a 2x2 Woodbury system. The recovered multipliers (a, b) are
+the Lagrange data of
 
     L(u; a, b) = int |grad u|^beta + a int u^k + b int |x|^alpha u^k,
 
@@ -29,7 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg
+from scipy import optimize  # noqa: F401  unused; bench/tracer.py patches this module attribute
 
 from . import validity
 from .errors import ConvergenceError, DomainError
@@ -62,13 +66,34 @@ INITS = ("flat", "exponential", "qgaussian-detuned")
 # |u'|^beta smoothing used when beta < 2 makes the integrand non-smooth at 0
 _SMOOTHING_EPS = 1e-8
 
-# largest radial grid accepted; L-BFGS-B's work arrays hold about 65 doubles
-# per node, so this caps them near 50 MB
+# largest radial grid accepted; a solve peaks near 75 doubles per node (band
+# storage and its copies, LU factors, right-hand sides), so about 60 MB here
 MAX_NODES = 100_001
 
-# augmented-Lagrangian budget: outer steps, and the constraint violation that ends them
+# augmented-Lagrangian (AL) budget: outer steps, and the constraint violation that ends them
 _MAX_OUTER = 40
 _CONSTRAINT_TOL = 1e-9
+# first AL penalty, in units of max(1, |energy of the initial profile|)
+_RHO_SCALE = 100.0
+# projected Newton steps per AL subproblem; the subproblem ends when the Newton
+# decrement falls below _DECREMENT_TOL |AL|, since an absolute gradient
+# tolerance is out of reach of floating point on fine grids
+_MAX_NEWTON = 200
+_MAX_BACKTRACK = 50
+_DECREMENT_TOL = 1e-14
+# diagonal shift, in units of the largest energy-Hessian diagonal entry, tried
+# when neither the exact nor the clipped constraint curvature gives descent
+_SHIFT = 1e-8
+# times a Newton step is retaken after freeing pinned nodes it would lift
+_RELEASE_ROUNDS = 3
+# when k < 1, u^k has unbounded slope at 0, so a node at 0 beside the support
+# would be a local minimum however hard the energy pulls it up; below delta the
+# constraints take the quadratic with the value and slope of u^k at delta.
+# delta starts at _DELTA_START max u, is divided by 10 at each outer step, and
+# stops at _DELTA_CELLS (h/R)^(1/k) max u, the scale of u one cell inside the
+# support edge
+_DELTA_START = 0.1
+_DELTA_CELLS = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +124,14 @@ class VariationalProblem:
 
 @dataclass(eq=False)
 class VariationalSolution:
-    """Converged profile with achieved constraints and recovered multipliers."""
+    """Converged profile with achieved constraints and recovered multipliers.
+
+    ``multipliers`` are the (a, b) that best satisfy the discrete stationarity
+    equations over the nodes off the bound, in the least-squares sense;
+    ``iterations`` counts projected Newton steps over all outer steps. When
+    k < 1, ``constraints_achieved`` takes u^k as the solver does, with the
+    quadratic below the final delta (see ``solve``).
+    """
 
     u_values: np.ndarray
     objective: float
@@ -154,15 +186,33 @@ def extremal_profile(problem: VariationalProblem) -> np.ndarray:
 
 
 class _Discretization:
-    """Trapezoid weights and difference stencils shared by objective and constraints."""
+    """Staggered differences and corrected trapezoid weights for the AL function.
+
+    The derivative lives at the N interval midpoints r_{j+1/2}, at fourth order:
+
+        d_j = (27 (u_{j+1} - u_j) - (u_{j+2} - u_{j-1})) / (24 h),
+
+    with the even ghost u_{-1} = u_1 at the centre and the quotient
+    (u_N - u_{N-1}) / h on the last interval. A grid-scale odd-even mode
+    therefore costs energy, and the energy Hessian D^T diag(W phi''(d)) D has
+    bandwidth 3. The energy weights W are S h r_{j+1/2}^{n-1}; the constraints
+    use trapezoid weights with Gregory end corrections.
+    """
 
     def __init__(self, problem: VariationalProblem, smoothing_eps: float):
         r = problem.grid
-        self.h = float(r[1] - r[0])
+        h = float(r[1] - r[0])
         n = problem.n
-        w = np.full(r.size, self.h)
-        w[0] = w[-1] = 0.5 * self.h
         surface = unit_sphere_area(n)
+        self.wmid = surface * h * (r[:-1] + 0.5 * h) ** (n - 1)
+        # row j: coefficients of u_{j-1}, u_j, u_{j+1}, u_{j+2}
+        stencil = np.tile(np.array([1.0, -27.0, 27.0, -1.0]) / (24.0 * h), (r.size - 1, 1))
+        stencil[0] = np.array([0.0, -27.0, 28.0, -1.0]) / (24.0 * h)
+        stencil[-1] = np.array([0.0, -1.0, 1.0, 0.0]) / h
+        self.stencil = stencil.T.copy()
+        w = np.full(r.size, h)
+        w[[0, -1]] = 0.5 * h - h / 12.0
+        w[[1, -2]] += h / 12.0
         self.wgeo = surface * w * r ** (n - 1)
         self.wmom = surface * w * r ** (n - 1 + problem.alpha)
         self.beta = problem.beta
@@ -170,15 +220,13 @@ class _Discretization:
         self.m_target = problem.m_target
         self.eps = smoothing_eps
 
-    def gradient_values(self, u: np.ndarray) -> np.ndarray:
-        d = np.empty_like(u)
-        d[0] = (u[1] - u[0]) / self.h
-        d[-1] = (u[-1] - u[-2]) / self.h
-        d[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.h)
-        return d
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        padded = np.concatenate(([0.0], u, [0.0]))
+        m = u.size - 1
+        return sum(self.stencil[o] * padded[o:o + m] for o in range(4))
 
     def energy(self, u: np.ndarray, smoothed: bool = True):
-        d = self.gradient_values(u)
+        d = self.derivative(u)
         if smoothed and self.eps > 0.0:
             base = d * d + self.eps * self.eps
             phi = base ** (0.5 * self.beta)
@@ -187,23 +235,49 @@ class _Discretization:
             ad = np.abs(d)
             phi = ad**self.beta
             dphi = self.beta * np.sign(d) * ad ** (self.beta - 1.0)
-        value = float(self.wgeo @ phi)
-        s = self.wgeo * dphi
-        grad = np.zeros_like(u)
-        grad[0] -= s[0] / self.h
-        grad[1] += s[0] / self.h
-        grad[-1] += s[-1] / self.h
-        grad[-2] -= s[-1] / self.h
-        grad[2:] += s[1:-1] / (2.0 * self.h)
-        grad[:-2] -= s[1:-1] / (2.0 * self.h)
-        return value, grad
+        value = float(self.wmid @ phi)
+        s = self.wmid * dphi
+        grad = np.zeros(u.size + 2)
+        for o in range(4):
+            grad[o:o + s.size] += self.stencil[o] * s
+        return value, grad[1:-1]
 
-    def constraints(self, u: np.ndarray):
-        uk = u**self.k
+    def energy_hessian(self, u: np.ndarray) -> np.ndarray:
+        """D^T diag(W phi''(d)) D of the smoothed energy, in the (3, 3) band storage of solve_banded."""
+        d = self.derivative(u)
+        beta, eps2 = self.beta, self.eps * self.eps
+        if eps2 > 0.0:
+            base = d * d + eps2
+            phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
+        else:
+            phi2 = beta * (beta - 1.0) * np.abs(d) ** (beta - 2.0)
+        curv = self.wmid * phi2
+        m = curv.size
+        band = np.zeros((7, u.size + 2))
+        for o1 in range(4):
+            for o2 in range(4):
+                band[3 + o1 - o2, o2:o2 + m] += curv * self.stencil[o1] * self.stencil[o2]
+        return band[:, 1:-1]
+
+    def constraints(self, u: np.ndarray, delta: float):
+        uk, duk, _ = _power(u, self.k, delta)
         c = np.array([float(self.wgeo @ uk) - 1.0, float(self.wmom @ uk) - self.m_target])
-        duk = self.k * u ** (self.k - 1.0)
         jac = np.vstack([self.wgeo * duk, self.wmom * duk])
         return c, jac
+
+
+def _power(u: np.ndarray, k: float, delta: float):
+    """u^k and its first two derivatives, replaced below delta > 0 by the
+    quadratic with the value and slope of u^k at delta."""
+    x = np.maximum(u, delta if delta > 0.0 else np.finfo(float).tiny)
+    value, slope, curvature = x**k, k * x ** (k - 1.0), k * (k - 1.0) * x ** (k - 2.0)
+    if delta > 0.0:
+        low = u < delta
+        t = u[low] / delta
+        value[low] = delta**k * t * ((2.0 - k) - (1.0 - k) * t)
+        slope[low] = delta ** (k - 1.0) * ((2.0 - k) - 2.0 * (1.0 - k) * t)
+        curvature[low] = -2.0 * (1.0 - k) * delta ** (k - 2.0)
+    return value, slope, curvature
 
 
 def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretization) -> np.ndarray:
@@ -226,47 +300,177 @@ def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretizati
     return u * mass ** (-1.0 / k)
 
 
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of a matrix in (3, 3) band storage with a vector."""
+    y = band[3] * x
+    for o in range(1, 4):
+        y[o:] += band[3 + o, :-o] * x[:-o]
+        y[:-o] += band[3 - o, o:] * x[o:]
+    return y
+
+
+def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
+                 jac: np.ndarray, rho: float, pinned: np.ndarray):
+    """Descent direction p solving (H + rho J^T J) p = -grad off the pinned nodes, or None.
+
+    H is ``hessian`` (in the (3, 3) storage of solve_banded) plus ``diagonal``;
+    pinned nodes get p = 0. One banded solve with three right-hand sides and
+    a 2x2 Woodbury system give p. None means H is singular there or p is not
+    a descent direction.
+    """
+    f = (~pinned).astype(float)
+    ab = hessian.copy()
+    for o in range(-3, 4):
+        lo, hi = max(0, -o), f.size - max(0, o)
+        ab[3 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
+    ab[3] += f * diagonal + 1.0 - f
+    jf = jac * f
+    try:
+        sol = linalg.solve_banded((3, 3), ab, np.column_stack((grad * f, jf.T)),
+                                  check_finite=False)
+        capacitance = np.eye(2) / rho + jf @ sol[:, 1:]
+        step = sol[:, 1:] @ np.linalg.solve(capacitance, jf @ sol[:, 0]) - sol[:, 0]
+    except (linalg.LinAlgError, np.linalg.LinAlgError):
+        return None
+    if not (np.all(np.isfinite(step)) and grad @ step < 0.0):
+        return None
+    return step
+
+
+def _projected_newton_step(hessian: np.ndarray, curvature: np.ndarray, grad: np.ndarray,
+                           jac: np.ndarray, rho: float, pinned: np.ndarray):
+    """Newton direction of the AL function and the pinned set it was taken with, or None.
+
+    The AL Hessian is the energy Hessian plus the diagonal constraint
+    ``curvature`` plus rho J^T J. The exact curvature is tried first, then
+    its positive part, then that plus a small diagonal shift, until the step
+    is a descent direction. A pinned node whose gradient the step is
+    predicted to turn negative is then freed and the step taken again, up to
+    _RELEASE_ROUNDS times, so a front of nodes leaves the bound in one step.
+    """
+    convex = np.maximum(curvature, 0.0)
+    for diagonal in (curvature, convex, convex + _SHIFT * float(np.max(hessian[3]))):
+        step = _newton_step(hessian, diagonal, grad, jac, rho, pinned)
+        if step is not None:
+            break
+    else:
+        return None
+    for _ in range(_RELEASE_ROUNDS):
+        predicted = grad + _band_matvec(hessian, step) + diagonal * step + rho * jac.T @ (jac @ step)
+        release = pinned & (predicted < 0.0)
+        release[-1] = False
+        if not release.any():
+            break
+        pinned = pinned & ~release
+        step = _newton_step(hessian, diagonal, grad, jac, rho, pinned)
+        if step is None:
+            return None
+    return step, pinned
+
+
+def _least_squares_multipliers(disc: _Discretization, u: np.ndarray, delta: float) -> np.ndarray:
+    """(a, b) minimizing |grad E + a grad c_1 + b grad c_2| over the nodes off the bound.
+
+    Nodes within 1e-6 max u of the bound, where u^(k-1) is steep, are left
+    out. The 2x2 normal equations of the unit-scaled constraint gradients are
+    solved directly; ``np.linalg.lstsq`` would give the same (a, b) but
+    raises the process's peak memory by about 1 MB on its first call. When
+    the two gradients are not independent off the bound, (0, 0) is returned.
+    """
+    _, grad_e = disc.energy(u)
+    _, jac = disc.constraints(u, delta)
+    free = u > 1e-6 * float(np.max(u))
+    rows = jac[:, free]
+    scale = np.sqrt(np.sum(rows * rows, axis=1))
+    if not np.all(scale > 0.0):
+        return np.zeros(2)
+    rows = rows / scale[:, None]
+    try:
+        return np.linalg.solve(rows @ rows.T, -(rows @ grad_e[free])) / scale
+    except np.linalg.LinAlgError:
+        return np.zeros(2)
+
+
 def solve(problem: VariationalProblem, init: str = "exponential") -> VariationalSolution:
     """Minimize the discrete Dirichlet energy under both constraints.
 
-    Augmented-Lagrangian outer loop; the inner subproblems are solved by
-    L-BFGS-B on the nonnegative orthant with analytic gradients. The returned
-    multipliers are the converged augmented-Lagrangian estimates.
+    An augmented-Lagrangian (AL) outer loop updates the multipliers and the
+    penalty; each AL subproblem is solved by projected Newton steps on
+    u >= 0 (Bertsekas, SIAM J. Control Optim. 20, 1982). A node is pinned to
+    the bound when its gradient would carry it there; the free nodes take the
+    Newton step of the AL function, with the negative part of the constraint
+    curvature clipped (and then a diagonal shift added) only when the exact
+    step is not a descent direction, and an Armijo search runs along the
+    projection arc. The outer node is held at the bound. When k < 1, where
+    u^k has unbounded slope at 0, the constraints replace u^k below a level
+    delta by a quadratic, and delta falls from a tenth of max u to the scale
+    of u one grid cell inside the support edge over the outer steps; the
+    support edge therefore settles from a smooth problem down instead of
+    sticking wherever a node first reaches 0. The returned multipliers solve
+    the stationarity equations over the nodes off the bound in the
+    least-squares sense.
     """
     eps = _SMOOTHING_EPS if problem.beta < 2.0 else 0.0
     disc = _Discretization(problem, eps)
+    k = problem.k
     u = _initial_profile(problem, init, disc)
-    lower = 1e-12 if problem.k < 1.0 else 0.0
-    bounds = [(lower, None)] * u.size
-    lam = np.zeros(2)
-    e0, _ = disc.energy(u)
-    rho = max(1.0, abs(e0))
-    total_inner = 0
+    u[-1] = 0.0
+    # delta of each outer step, in units of max u
+    if k < 1.0:
+        cell = _DELTA_CELLS * (problem.grid[1] / problem.R) ** (1.0 / k)
+        schedule = [max(_DELTA_START * 0.1**i, cell) for i in range(_MAX_OUTER)]
+    else:
+        schedule = [0.0] * _MAX_OUTER
+    delta = schedule[0] * float(np.max(u))
+    lam = _least_squares_multipliers(disc, u, delta)
+    rho = _RHO_SCALE * max(1.0, abs(disc.energy(u)[0]))
+    weights = np.vstack((disc.wgeo, disc.wmom))
+    steps = 0
     previous_violation = math.inf
     converged = False
-    for outer in range(_MAX_OUTER):
-        def al_objective(x):
-            e, ge = disc.energy(x)
-            c, jac = disc.constraints(x)
-            value = e + lam @ c + 0.5 * rho * (c @ c)
-            grad = ge + jac.T @ (lam + rho * c)
-            return value, grad
 
-        inner_gtol = max(1e-10, 1e-6 * 0.1**outer)
-        res = optimize.minimize(
-            al_objective,
-            u,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 4000, "ftol": 1e-16, "gtol": inner_gtol, "maxcor": 30},
-        )
-        u = res.x
-        total_inner += int(res.nit)
-        c, _ = disc.constraints(u)
+    def al_function(x):
+        e, ge = disc.energy(x)
+        c, jac = disc.constraints(x, delta)
+        mu = lam + rho * c
+        return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, jac, mu
+
+    for fraction in schedule:
+        delta = fraction * float(np.max(u))
+        value, grad, jac, mu = al_function(u)
+        for _ in range(_MAX_NEWTON):
+            hessian = disc.energy_hessian(u)
+            umax = float(np.max(u))
+            # pin a node near the bound whose diagonal Newton step would reach it
+            diagonal = hessian[3] + rho * np.sum(jac * jac, axis=0)
+            pinned = (u <= 1e-6 * umax) & (u * diagonal <= grad)
+            pinned[-1] = True
+            # u^k has unbounded curvature at 0 when k < 2: take it at 1e-8 max u or above
+            curvature = (mu @ weights) * _power(np.maximum(u, 1e-8 * umax), k, delta)[2]
+            found = _projected_newton_step(hessian, curvature, grad, jac, rho, pinned)
+            if found is None:
+                break
+            step, pinned = found
+            step[pinned] = -u[pinned]
+            if -float(grad @ step) <= _DECREMENT_TOL * abs(value):
+                break
+            t = 1.0
+            for _ in range(_MAX_BACKTRACK):
+                trial = np.maximum(u + t * step, 0.0)
+                trial_value = al_function(trial)[0]
+                # a strict decrease, so a step too short to change the value ends the subproblem
+                if trial_value < value and trial_value <= value + 1e-4 * float(grad @ (trial - u)):
+                    break
+                t *= 0.5
+            else:
+                break
+            u = trial
+            value, grad, jac, mu = al_function(u)
+            steps += 1
+        c, _ = disc.constraints(u, delta)
         violation = float(np.max(np.abs(c)))
         lam = lam + rho * c
-        if violation < _CONSTRAINT_TOL:
+        if violation < _CONSTRAINT_TOL and fraction == schedule[-1]:
             converged = True
             break
         if violation > 0.25 * previous_violation:
@@ -274,13 +478,14 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
         previous_violation = violation
 
     objective, _ = disc.energy(u, smoothed=False)
-    c, _ = disc.constraints(u)
+    c, _ = disc.constraints(u, delta)
+    multipliers = _least_squares_multipliers(disc, u, delta)
     solution = VariationalSolution(
         u_values=u,
         objective=float(objective),
         constraints_achieved=(float(c[0] + 1.0), float(c[1] + problem.m_target)),
-        multipliers=(float(lam[0]), float(lam[1])),
-        iterations=total_inner,
+        multipliers=(float(multipliers[0]), float(multipliers[1])),
+        iterations=steps,
         converged=converged,
         smoothing_eps=eps,
         problem=problem,
@@ -288,7 +493,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     if not converged:
         raise ConvergenceError(
             f"constraints not met after {_MAX_OUTER} outer iterations "
-            f"(violation {float(np.max(np.abs(c))):.3e})",
+            f"(violation {violation:.3e})",
             last_iterate=solution,
         )
     return solution

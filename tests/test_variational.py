@@ -197,3 +197,94 @@ class TestSolve:
         mass, moment = solution.constraints_achieved
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert moment == pytest.approx(problem.m_target, abs=1e-8)
+
+
+def _recovery(problem, solution):
+    """Criterion-08 measures: relative L2 distance to the extremal profile,
+    relative objective gap to the closed form, and the Prop. 1 gap."""
+    ref = extremal_profile(problem)
+    w = problem.grid ** (problem.n - 1)
+    l2 = math.sqrt(
+        np.trapezoid(w * (solution.u_values - ref) ** 2, problem.grid)
+        / np.trapezoid(w * ref**2, problem.grid)
+    )
+    params = problem.extremal_params
+    obj_ref = closed_fisher(params) / abs(params.k) ** params.beta
+    _, _, prop1_gap = check_proposition1(solution, problem)
+    return l2, abs(solution.objective - obj_ref) / obj_ref, prop1_gap
+
+
+# the (n, q, nodes) cases of the benchmark's solve workload, at alpha = 2 and moment 1
+SOLVE_WORKLOAD_CASES = [(1, 1.0, 801), (1, 1.5, 801), (2, 1.2, 201), (3, 1.1, 201), (2, 0.9, 201)]
+
+
+class TestSolverRecovery:
+    def test_no_odd_even_mode_at_q_below_one(self):
+        # a centred-difference energy cannot see a node-to-node alternation, and
+        # a solver built on it converged to one here (L2 0.74)
+        problem = make_problem(2, 2.0, 0.9, 1.0, num_nodes=201)
+        solution = solve(problem)
+        assert solution.converged
+        l2, obj_gap, prop1_gap = _recovery(problem, solution)
+        assert l2 <= 1e-3
+        assert obj_gap <= 1e-4
+        assert prop1_gap <= 1e-3
+
+    @pytest.mark.parametrize("init", INITS)
+    @pytest.mark.parametrize("n,q,nodes", SOLVE_WORKLOAD_CASES)
+    def test_every_init_converges(self, init, n, q, nodes):
+        problem = make_problem(n, 2.0, q, 1.0, num_nodes=nodes)
+        solution = solve(problem, init=init)
+        assert solution.converged
+        l2, obj_gap, prop1_gap = _recovery(problem, solution)
+        assert l2 <= 1e-3, (init, n, q, l2)
+        assert obj_gap <= 1e-4, (init, n, q, obj_gap)
+        assert prop1_gap <= 1e-3, (init, n, q, prop1_gap)
+
+    @pytest.mark.parametrize(
+        "n,alpha,q,moment,nodes,max_l2,max_obj_gap,max_prop1_gap",
+        [
+            (2, 1.5, 1.1, 1.0, 401, 3.2e-4, 4.0e-5, 1e-3),  # beta = 3
+            (1, 3.0, 1.2, 1.0, 801, 2.4e-5, 4.9e-6, 2.7e-4),  # beta = 1.5, smoothed energy
+            (1, 2.0, 2.0, 0.5, 801, 5.6e-3, 2.1e-3, 1e-3),  # k = 2/3, floor at 1e-12
+        ],
+    )
+    def test_beta_off_two_and_k_below_one(self, n, alpha, q, moment, nodes,
+                                          max_l2, max_obj_gap, max_prop1_gap):
+        # bounds are the recovery of the earlier quasi-Newton solver on these cases
+        problem = make_problem(n, alpha, q, moment, num_nodes=nodes)
+        solution = solve(problem)
+        assert solution.converged
+        l2, obj_gap, prop1_gap = _recovery(problem, solution)
+        assert l2 <= max_l2
+        assert obj_gap <= max_obj_gap
+        assert prop1_gap <= max_prop1_gap
+
+    @pytest.mark.parametrize(
+        "n,alpha,q,moment,nodes,init,max_l2",
+        [
+            (1, 3.94, 2.02, 4.012, 201, "flat", 4.6e-3),
+            (3, 1.54, 1.96, 0.162, 301, "qgaussian-detuned", 1.6e-2),
+            (1, 1.81, 2.84, 0.855, 50, "flat", 1.8e-2),
+            (1, 2.0, 2.0, 1.0, 201, "exponential", 1e-3),
+        ],
+    )
+    def test_k_below_one_support_edge(self, n, alpha, q, moment, nodes, init, max_l2):
+        # k < 1: u^k has unbounded slope at 0, so a node at 0 beside the support
+        # is a local minimum of the discrete problem; a solver that lets the edge
+        # stick early fails these or lands short of the support. Bounds are the
+        # recovery of the earlier quasi-Newton solver, and the criterion-08 gate
+        problem = make_problem(n, alpha, q, moment, num_nodes=nodes)
+        assert problem.k < 1.0
+        solution = solve(problem, init=init)
+        assert solution.converged
+        l2, _, _ = _recovery(problem, solution)
+        assert l2 <= max_l2
+
+    def test_collapsed_profile_is_a_convergence_failure(self):
+        # a heavy tail whose flat start leaves fewer than two independent
+        # constraint gradients off the bound: the multiplier fit has no
+        # unique solution, and the run must still end as unconverged
+        problem = make_problem(2, 2.93, 0.41, 0.877, num_nodes=101)
+        with pytest.raises(ConvergenceError):
+            solve(problem, init="flat")
