@@ -59,14 +59,22 @@ EXIT_VIOLATED = 4
 # largest sweep grid accepted, counted before any grid list is built
 MAX_SWEEP_ROWS = 100_000
 
+# sample rows formatted and written at a time
+SAMPLE_BLOCK = 8192
 
-def _emit(text: str, out: str | None):
+
+def _emit(text, out: str | None):
+    """Write text, or an iterable of text chunks in order, to the file out or to stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # newline="": csv rows end in \r\n, which must not be translated
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -81,6 +89,19 @@ def _csv_text(config: dict, header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _sample_csv(config: dict, points):
+    """The sample CSV in chunks: the preamble, then SAMPLE_BLOCK rows at a time.
+
+    Cells are formatted a column at a time with repr, which is what csv.writer
+    writes for a float; no float cell ever needs quoting.
+    """
+    yield _csv_text(config, [f"x{j + 1}" for j in range(points.shape[1])], ())
+    for start in range(0, len(points), SAMPLE_BLOCK):
+        block = points[start:start + SAMPLE_BLOCK]
+        columns = [map(repr, block[:, j].tolist()) for j in range(block.shape[1])]
+        yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def _fail(message: str, code: int) -> int:
@@ -303,10 +324,9 @@ def cmd_sample(args) -> int:
         "count": args.count,
         "rng": RNG_ALGORITHM,
     }
+    # sample() rejects a bad count, seed or size before the output is opened
     batch = sample(params, args.count, args.seed)
-    # one row at a time: a whole-batch tolist() would hold every coordinate as a Python float
-    rows = (point.tolist() for point in batch.points)
-    _emit(_csv_text(config, [f"x{i + 1}" for i in range(params.n)], rows), args.out)
+    _emit(_sample_csv(config, batch.points), args.out)
     if args.out:
         estimate, se = empirical_moment(batch, params.alpha)
         print(_json_text({"config": config, "empirical_m_alpha": estimate, "std_error": se}))

@@ -1,17 +1,22 @@
 """Exit-code contract and output shapes of the command-line front end."""
 
+import builtins
 import csv
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qginfo.cli import main
+import qginfo.cli
+from qginfo.cli import SAMPLE_BLOCK, main
 from qginfo.inequalities import INEQUALITY_NAMES
+from qginfo.qgaussian import QGaussianParams
+from qginfo.sampling import sample
 
 
 def run(argv, capsys):
@@ -292,6 +297,78 @@ class TestSampleCommand:
         assert config["seed"] == 1
 
 
+def _sample_oracle(config: dict, points) -> str:
+    """The sample CSV as csv.writer writes it, one row per point."""
+    buf = io.StringIO()
+    buf.write(f"# config: {json.dumps(config)}\n")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{j + 1}" for j in range(points.shape[1])])
+    writer.writerows(points.tolist())
+    return buf.getvalue()
+
+
+class TestSampleStreaming:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["block-1", "block", "block+1", "2block+1"])
+    def test_bytes_match_csv_writer(self, n, blocks, tmp_path, capsys):
+        count = blocks[0] * SAMPLE_BLOCK + blocks[1]
+        q = (1.0, 1.4, 0.95, 1.0)[n - 1]
+        argv = ["sample", "--n", str(n), "--q", repr(q), "--count", str(count), "--seed", "3"]
+        config = {"subcommand": "sample", "params": {"n": n, "alpha": 2.0, "q": q, "gamma": 1.0},
+                  "format": "csv", "seed": 3, "count": count, "rng": "PCG64"}
+        points = sample(QGaussianParams(n=n, alpha=2.0, q=q), count, 3).points
+        expected = _sample_oracle(config, points)
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == expected
+        path = tmp_path / "points.csv"
+        code, out, _ = run([*argv, "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert json.loads(out)["config"] == config
+
+    def test_repr_format_switches(self, monkeypatch):
+        # where repr changes notation, length or sign, across block boundaries
+        values = [1e-05, 0.0001, 1e16, 9999999999999998.0, -0.0, 5e-324, -1e-05,
+                  -9999999999999998.0, 1e-300, math.inf, -math.inf, math.nan, 0.1, 2.0]
+        monkeypatch.setattr(qginfo.cli, "SAMPLE_BLOCK", 3)
+        for n in (1, 2, 7):
+            points = np.array(values * n).reshape(-1, n)
+            config = {"n": n}
+            text = "".join(qginfo.cli._sample_csv(config, points))
+            assert text == _sample_oracle(config, points)
+
+    @pytest.mark.parametrize("argv", [["--n", "1000000", "--count", "2000"],
+                                      ["--count", "1000000000000"],
+                                      ["--n", "3", "--count", "3333334"]])
+    def test_over_cap_rejected(self, argv, capsys):
+        code, out, err = run(["sample", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert "coordinates" in err
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--count", "0"],
+                                      ["--count", "1000000000000"]])
+    def test_rejected_input_leaves_out_file_alone(self, argv, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_bytes(b"earlier output\r\n")
+        code, out, _ = run(["sample", "--count", "5", *argv, "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert path.read_bytes() == b"earlier output\r\n"
+
+    def test_out_rows_keep_crlf_where_text_files_translate_newlines(self, monkeypatch,
+                                                                    tmp_path, capsys):
+        # a text file opened without newline="" on Windows writes each "\n" as "\r\n"
+        def crlf_open(file, mode="r", **kwargs):
+            kwargs.setdefault("newline", "\r\n")
+            return builtins.open(file, mode, **kwargs)
+
+        monkeypatch.setattr(qginfo.cli, "open", crlf_open, raising=False)
+        path = tmp_path / "points.csv"
+        argv = ["sample", "--n", "2", "--count", "3", "--seed", "7"]
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes().decode("utf-8") == _FROZEN[tuple(argv)]
+
+
 class TestMinimizeCommand:
     def test_json_payload(self, capsys):
         code, out, _ = run(
@@ -352,10 +429,15 @@ _GRIDS = st.one_of(_FLOATS, st.tuples(_FLOATS, _FLOATS, _STEPS).map(":".join))
 _SWEEP = st.tuples(st.one_of(_DIMS, st.just("1:3:1")), _FLOATS, _GRIDS, _FLOATS).map(
     lambda t: ["sweep", f"--n={t[0]}", f"--alpha={t[1]}", f"--q={t[2]}", f"--gamma={t[3]}"])
 
-# a batch holds count * n coordinates, so --count and --n stay small here; see
-# ROADMAP items 2 and 3 on bounding the allocation for large counts
-_SAMPLE = st.tuples(_params(st.integers(-1, 4).map(str)), st.integers(-1, 2000),
-                    st.integers(-1, 2**64)).map(
+# (n, count): small, or with count * n above sampling.MAX_COORDINATES, which
+# is rejected before anything is allocated
+_SIZES = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 2000)),
+    st.tuples(st.just(10**6), st.integers(11, 2000)),
+    st.tuples(st.integers(-1, 4), st.just(10**12)),
+)
+_SAMPLE = _SIZES.flatmap(lambda size: st.tuples(
+    _params(st.just(str(size[0]))), st.just(size[1]), st.integers(-1, 2**64))).map(
     lambda t: ["sample", *t[0], f"--count={t[1]}", f"--seed={t[2]}"])
 
 

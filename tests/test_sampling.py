@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qginfo.errors import DomainError
 from qginfo.qgaussian import QGaussianParams, closed_moment_alpha
 from qginfo.sampling import (
+    MAX_COORDINATES,
     RNG_ALGORITHM,
+    SPLIT_MIN_COUNT,
     empirical_moment,
     radial_cdf,
     radial_quantile,
@@ -119,6 +121,24 @@ class TestSample:
         batch = sample(params, 200000, seed=5)
         est, se = empirical_moment(batch, params.alpha)
         assert abs(est - closed_moment_alpha(params)) < 4.0 * se
+
+    @pytest.mark.parametrize("count", [1, 2, 1001, SPLIT_MIN_COUNT - 1, SPLIT_MIN_COUNT,
+                                       SPLIT_MIN_COUNT + 1])
+    @pytest.mark.parametrize("params", CASES)
+    def test_points_match_one_stream_inverted_whole(self, params, count):
+        # large batches invert the radii in two halves on two threads; every
+        # batch must be the one a single pass over the bare stream gives
+        rng = np.random.Generator(np.random.PCG64(29))
+        uniforms = rng.random(count)
+        direction = rng.standard_normal((count, params.n))
+        radii = radial_quantile(params, uniforms)
+        expected = radii[:, None] * (direction / np.linalg.norm(direction, axis=1)[:, None])
+        assert sample(params, count, seed=29).points.tobytes() == expected.tobytes()
+
+    def test_oversized_batch_rejected_before_seeding(self):
+        p = QGaussianParams(n=4, alpha=2.0, q=1.0)
+        with pytest.raises(DomainError, match="coordinates"):
+            sample(p, MAX_COORDINATES // 4 + 1, seed="not a seed")
 
     def test_zero_count_rejected(self):
         p = QGaussianParams(n=1, alpha=2.0, q=1.0)
