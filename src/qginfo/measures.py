@@ -110,9 +110,11 @@ class MeasureSet:
         if abs(1.0 / alpha + 1.0 / beta - 1.0) > 1e-12:
             raise DomainError(f"alpha={alpha} and beta={beta} are not Holder conjugates")
         if not validity.exponential_branch(q) and math.isfinite(self.Mq) and self.Mq > 0:
-            expected = self.Mq ** (1.0 / (1.0 - q))
-            if abs(expected - self.Nq) > 1e-12 * max(abs(expected), abs(self.Nq)):
-                raise DomainError("Nq is inconsistent with Mq^(1/(1-q))")
+            # Nq^(1-q) = Mq in this direction: raising Mq to 1/(1-q) would
+            # multiply its rounding error by 1/|1-q| near q = 1
+            expected = self.Nq ** (1.0 - q)
+            if abs(expected - self.Mq) > 1e-12 * max(abs(expected), abs(self.Mq)):
+                raise DomainError("Nq^(1-q) is inconsistent with Mq")
 
     def as_dict(self) -> dict:
         n, alpha, beta, q = self.params_echo

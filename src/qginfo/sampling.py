@@ -10,23 +10,27 @@ a = n/alpha, the radial law has three branches:
 
 These laws were validated against direct quadrature of the radial density
 (Kolmogorov-Smirnov distance well below 3/sqrt(count)) before being frozen
-here. Radii come from the inverse regularized incomplete Beta/Gamma functions,
-which are accurate to ~1e-12, so sampling is exact up to floating point and
-fully reproducible: identical (params, count, seed) give identical batches.
-The inversion is elementwise, so splitting a large batch's inversion over two
-threads leaves every point bit-identical: a batch is the same on any number of
-cores. A batch holds at most MAX_COORDINATES coordinates (count * n), checked
-before anything is allocated.
+here. Radii are drawn from numpy's exact generators on one PCG64 stream:
+``standard_gamma(a)`` for q = 1, ``beta(a, b)`` for q > 1, and the ratio
+``standard_gamma(a) / standard_gamma(b)`` for q < 1, which is beta-prime
+without forming 1 - x, so the power tail is not rounded away. Sampling is
+exact up to floating point and fully reproducible: identical (params, count,
+seed) give identical batches on any number of cores. A batch holds at most
+MAX_COORDINATES coordinates (count * n), checked before anything is
+allocated, and holds only finite coordinates: a draw that underflows or
+overflows raises DivergenceError.
+
+The inverse CDF ``radial_quantile`` (inverse regularized incomplete
+Beta/Gamma, accurate to ~1e-12) serves the variational solver's domain.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
 
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 from .qgaussian import QGaussianParams
 
 __all__ = [
@@ -45,10 +49,6 @@ RNG_ALGORITHM = "PCG64"
 # largest batch accepted, in coordinates (count * n), counted before the
 # generator is seeded or any array is allocated
 MAX_COORDINATES = 10_000_000
-
-# fewest draws whose radii are inverted on two threads: below it, starting a
-# thread costs more (about 0.3 ms) than the half of the inversion it takes over
-SPLIT_MIN_COUNT = 32_768
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +85,11 @@ def radial_quantile(params: QGaussianParams, u):
         t = _special.betaincinv(a, b, u)
         r = (t / (gamma * (q - 1.0))) ** (1.0 / alpha)
     else:
-        x = _special.betaincinv(a, b, u)
-        t = x / (1.0 - x)
+        # above the median invert the complement y = 1 - x: x itself rounds
+        # to 1 in the tail, where t = x/(1-x) would become infinite
+        x = _special.betaincinv(a, b, np.minimum(u, 0.5))
+        y = _special.betaincinv(b, a, 1.0 - np.maximum(u, 0.5))
+        t = np.where(u > 0.5, (1.0 - y) / y, x / (1.0 - x))
         r = (t / (gamma * (1.0 - q))) ** (1.0 / alpha)
     return r if r.ndim else float(r)
 
@@ -128,12 +131,11 @@ def radial_tail_mass(params: QGaussianParams, r: float) -> float:
 def sample(params: QGaussianParams, count: int, seed: int) -> SampleBatch:
     """Draw an exact, reproducible batch of points from the density.
 
-    The stream order is fixed: first ``count`` uniforms for the radii, then
-    ``count * n`` standard normals for the directions. From SPLIT_MIN_COUNT
-    draws on, the radii are inverted in two halves at once, one on a worker
-    thread (scipy's inverse incomplete Beta/Gamma loops release the GIL); the
-    batch is identical on any number of cores. ``count * n`` above
-    MAX_COORDINATES raises DomainError before any work.
+    The stream order is fixed: first ``count`` radial variates (for q < 1,
+    ``count`` gamma variates of shape a, then ``count`` of shape b), then
+    ``count * n`` standard normals for the directions. ``count * n`` above
+    MAX_COORDINATES raises DomainError before any work; a batch with a
+    coordinate that is not finite raises DivergenceError.
     """
     if int(count) != count or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
@@ -144,16 +146,22 @@ def sample(params: QGaussianParams, count: int, seed: int) -> SampleBatch:
         rng = np.random.Generator(np.random.PCG64(seed))
     except (ValueError, TypeError) as exc:
         raise DomainError(f"invalid seed {seed!r}: {exc}") from exc
-    uniforms = rng.random(count)
-    if count < SPLIT_MIN_COUNT:
-        radii = radial_quantile(params, uniforms)
-        direction = rng.standard_normal((count, params.n))
-    else:
-        half = count // 2
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            upper = pool.submit(radial_quantile, params, uniforms[half:])
-            direction = rng.standard_normal((count, params.n))
-            radii = np.concatenate([radial_quantile(params, uniforms[:half]), upper.result()])
+    law, a, b = _law_parameters(params)
+    # a gamma variate of small shape can underflow to 0 and a radius can
+    # overflow; such batches are rejected below, so numpy need not warn
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if law == "gamma":
+            t, scale = rng.standard_gamma(a, count), params.gamma
+        elif law == "beta":
+            t, scale = rng.beta(a, b, count), params.gamma * (params.q - 1.0)
+        else:
+            t = rng.standard_gamma(a, count) / rng.standard_gamma(b, count)
+            scale = params.gamma * (1.0 - params.q)
+        radii = (t / scale) ** (1.0 / params.alpha)
+    if not np.all(np.isfinite(radii)):
+        bad = np.count_nonzero(~np.isfinite(radii))
+        raise DivergenceError(f"{bad} of {count} radii are not finite in double precision")
+    direction = rng.standard_normal((count, params.n))
     norms = np.linalg.norm(direction, axis=1)
     degenerate = norms == 0.0
     if np.any(degenerate):

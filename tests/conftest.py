@@ -1,6 +1,10 @@
-"""Prints one status line per acceptance criterion after the run."""
+"""Prints one status line per acceptance criterion after the run, and fails a
+test that leaves a child process unreaped."""
 
+import os
 import re
+
+import pytest
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _outcomes = {}
@@ -26,3 +30,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             status = "FAIL"
         label = name.replace(f"test_criterion_{num:02d}_", "").replace("_", " ")
         terminalreporter.write_line(f"criterion {num:02d}: {status} - {label}")
+
+
+@pytest.fixture(autouse=True)
+def _no_unreaped_child():
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited with wait status {status}"
+    pytest.fail(f"test left a child process unreaped ({state})")

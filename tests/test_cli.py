@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qginfo.cli
-from qginfo.cli import SAMPLE_BLOCK, main
+from qginfo.cli import FORK_MIN_COORDINATES, SAMPLE_BLOCK, main
 from qginfo.inequalities import INEQUALITY_NAMES
 from qginfo.qgaussian import QGaussianParams
 from qginfo.sampling import sample
@@ -31,6 +32,11 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(out)
         assert payload["closed"]["Mq"] > 0
+
+    def test_measures_next_to_q_one(self, capsys):
+        code, out, _ = run(["measures", "--n", "2", "--q", "1.000001"], capsys)
+        assert code == 0
+        assert json.loads(out)["closed"]["Nq"] > 0
 
     def test_measures_divergent_mq_is_invalid_input(self, capsys):
         code, _, err = run(["measures", "--n", "2", "--alpha", "2", "--q", "0.5"], capsys)
@@ -332,11 +338,13 @@ class TestSampleStreaming:
         values = [1e-05, 0.0001, 1e16, 9999999999999998.0, -0.0, 5e-324, -1e-05,
                   -9999999999999998.0, 1e-300, math.inf, -math.inf, math.nan, 0.1, 2.0]
         monkeypatch.setattr(qginfo.cli, "SAMPLE_BLOCK", 3)
-        for n in (1, 2, 7):
-            points = np.array(values * n).reshape(-1, n)
-            config = {"n": n}
-            text = "".join(qginfo.cli._sample_csv(config, points))
-            assert text == _sample_oracle(config, points)
+        for threshold in (FORK_MIN_COORDINATES, 1):  # serial, then forked from 6 rows on
+            monkeypatch.setattr(qginfo.cli, "FORK_MIN_COORDINATES", threshold)
+            for n in (1, 2, 7):
+                points = np.array(values * n).reshape(-1, n)
+                config = {"n": n}
+                text = "".join(qginfo.cli._sample_csv(config, points))
+                assert text == _sample_oracle(config, points)
 
     @pytest.mark.parametrize("argv", [["--n", "1000000", "--count", "2000"],
                                       ["--count", "1000000000000"],
@@ -367,6 +375,93 @@ class TestSampleStreaming:
         argv = ["sample", "--n", "2", "--count", "3", "--seed", "7"]
         assert main([*argv, "--out", str(path)]) == 0
         assert path.read_bytes().decode("utf-8") == _FROZEN[tuple(argv)]
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    return forks
+
+
+_T, _B = FORK_MIN_COORDINATES, SAMPLE_BLOCK
+# (n, count) on both sides of the fork threshold and of block boundaries
+_FORK_SIZES = [(1, _T - 1), (1, _T), (1, _T + 1), (2, _T // 2 - 1), (2, _T // 2),
+               (2, _T // 2 + 1), (2, 5 * _B + 1), (3, _T // 3), (3, _T // 3 + 1),
+               (3, 3 * _B - 1), (3, 3 * _B + 1), (4, _T // 4 - 1), (4, _T // 4),
+               (4, _T // 4 + 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are formatted in a forked worker on POSIX")
+class TestSampleFork:
+    @pytest.mark.parametrize("n,count", _FORK_SIZES)
+    def test_forked_bytes_match_serial(self, n, count, monkeypatch, tmp_path, capsys):
+        q = (1.0, 1.4, 0.95, 1.0)[n - 1]
+        argv = ["sample", "--n", str(n), "--q", repr(q), "--count", str(count), "--seed", "5"]
+        config = {"subcommand": "sample", "params": {"n": n, "alpha": 2.0, "q": q, "gamma": 1.0},
+                  "format": "csv", "seed": 5, "count": count, "rng": "PCG64"}
+        points = sample(QGaussianParams(n=n, alpha=2.0, q=q), count, 5).points
+        with monkeypatch.context() as serial:
+            serial.setattr(qginfo.cli, "FORK_MIN_COORDINATES", math.inf)
+            expected = "".join(qginfo.cli._sample_csv(config, points))
+        forks = _count_forks(monkeypatch)
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == expected
+        path = tmp_path / "points.csv"
+        code, out, _ = run([*argv, "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert len(forks) == (2 if count * n >= FORK_MIN_COORDINATES else 0)
+
+    def test_failed_worker_exits_2(self, monkeypatch, tmp_path, capsys):
+        parent, format_rows = os.getpid(), qginfo.cli._format_rows
+
+        def fail_in_worker(block):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return format_rows(block)
+
+        monkeypatch.setattr(qginfo.cli, "_format_rows", fail_in_worker)
+        path = tmp_path / "points.csv"
+        code, out, err = run(["sample", "--n", "2", "--count", str(_T), "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "worker" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("chunks_read", [1, 2])
+    def test_closed_generator_leaves_no_child(self, chunks_read, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        points = sample(QGaussianParams(n=2, alpha=2.0, q=1.0), _T, 1).points
+        chunks = qginfo.cli._sample_csv({}, points)
+        for _ in range(chunks_read):
+            next(chunks)
+        chunks.close()
+        assert forks == [os.getpid()]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestSampleTail:
+    def test_heavy_tail_writes_finite_cells_and_strict_json(self, tmp_path, capsys):
+        # q < n/(n+alpha) = 0.8: m_alpha is infinite, so no estimate is printed
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = tmp_path / "points.csv"
+        code, out, _ = run(["sample", "--n", "4", "--alpha", "1", "--q", "0.76", "--count",
+                            "100000", "--seed", "1", "--out", str(path)], capsys)
+        assert code == 0
+        summary = json.loads(out, parse_constant=no_constants)
+        assert summary["empirical_m_alpha"] is None and summary["std_error"] is None
+        points = np.loadtxt(path, delimiter=",", skiprows=2)
+        assert points.shape == (100000, 4) and np.all(np.isfinite(points))
+
+    def test_non_finite_draws_exit_3_before_out_is_opened(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        code, out, err = run(["sample", "--n", "4", "--alpha", "1", "--q", "0.751", "--count",
+                              "100000", "--seed", "1", "--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "not finite" in err
+        assert not path.exists()
 
 
 class TestMinimizeCommand:
@@ -405,8 +500,8 @@ _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-4.0, 4.0)).map(rep
 _DIMS = st.one_of(st.integers(-1, 4), st.sampled_from((400, 10**6))).map(str)
 
 
-def _params(dims=_DIMS):
-    return st.tuples(dims, _FLOATS, _FLOATS, _FLOATS).map(
+def _params(dims=_DIMS, floats=_FLOATS):
+    return st.tuples(dims, floats, floats, floats).map(
         lambda t: [f"--n={t[0]}", f"--alpha={t[1]}", f"--q={t[2]}", f"--gamma={t[3]}"])
 
 
@@ -429,15 +524,21 @@ _GRIDS = st.one_of(_FLOATS, st.tuples(_FLOATS, _FLOATS, _STEPS).map(":".join))
 _SWEEP = st.tuples(st.one_of(_DIMS, st.just("1:3:1")), _FLOATS, _GRIDS, _FLOATS).map(
     lambda t: ["sweep", f"--n={t[0]}", f"--alpha={t[1]}", f"--q={t[2]}", f"--gamma={t[3]}"])
 
-# (n, count): small, or with count * n above sampling.MAX_COORDINATES, which
-# is rejected before anything is allocated
-_SIZES = st.one_of(
-    st.tuples(st.integers(-1, 4), st.integers(-1, 2000)),
-    st.tuples(st.just(10**6), st.integers(11, 2000)),
-    st.tuples(st.integers(-1, 4), st.just(10**12)),
+# (n, count, floats): small, or with count * n above sampling.MAX_COORDINATES,
+# which is rejected before anything is allocated; and one draw in four at the
+# fork threshold in coordinates, with positive parameters (most of them
+# valid), so that a forked worker formats the rows
+_SMALL_OR_OVERSIZED = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 2000), st.just(_FLOATS)),
+    st.tuples(st.just(10**6), st.integers(11, 2000), st.just(_FLOATS)),
+    st.tuples(st.integers(-1, 4), st.just(10**12), st.just(_FLOATS)),
 )
+_AT_FORK_THRESHOLD = st.integers(2, 4).map(
+    lambda n: (n, -(-FORK_MIN_COORDINATES // n), st.floats(0.1, 4.0).map(repr)))
+_SIZES = st.sampled_from(range(4)).flatmap(
+    lambda i: _AT_FORK_THRESHOLD if i == 0 else _SMALL_OR_OVERSIZED)
 _SAMPLE = _SIZES.flatmap(lambda size: st.tuples(
-    _params(st.just(str(size[0]))), st.just(size[1]), st.integers(-1, 2**64))).map(
+    _params(st.just(str(size[0])), size[2]), st.just(size[1]), st.integers(-1, 2**64))).map(
     lambda t: ["sample", *t[0], f"--count={t[1]}", f"--seed={t[2]}"])
 
 
@@ -469,9 +570,9 @@ _FROZEN = {
         '# config: {"subcommand": "sample", "params": {"n": 2, "alpha": 2.0, "q": 1.0, '
         '"gamma": 1.0}, "format": "csv", "seed": 7, "count": 3, "rng": "PCG64"}\n'
         "x1,x2\r\n"
-        "-0.8821815658234142,-0.45037711748700354\r\n"
-        "-1.5055782929918018,0.0913136863903609\r\n"
-        "1.147633414132491,-0.4214790491430393\r\n"
+        "-0.7491643684413953,-0.382468305679996\r\n"
+        "-1.010666121153934,0.06129714386956518\r\n"
+        "0.7077974006235901,-0.2599451808626977\r\n"
     ),
     ("measures", "--format", "csv", "--method", "both"): (
         '# config: {"subcommand": "measures", "params": {"n": 1, "alpha": 2.0, "q": 1.0, '

@@ -191,6 +191,14 @@ class TestMeasureSetInvariants:
             MeasureSet(Mq=0.5, Hq=1.0, Sq=1.0, Nq=9.9, m_alpha=1.0, I_bq=1.0,
                        method={}, params_echo=(1, 2.0, 2.0, 2.0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_consistency_holds_next_to_q_one(self, n, alpha):
+        # Nq^(1-q) = Mq is checked in the direction that does not multiply
+        # Mq's rounding by 1/|1-q|; these members all failed the other one
+        for q in (1.0 + s * 10.0**-k for k in (3, 5, 7, 9, 11) for s in (1, -1)):
+            closed_measures(QGaussianParams(n=n, alpha=alpha, q=q))
+
     def test_as_dict_roundtrip(self):
         ms = closed_measures(QGaussianParams(n=1, alpha=2.0, q=2.0))
         d = ms.as_dict()

@@ -1,4 +1,4 @@
-"""Seeded exact sampling via the radial inverse CDF."""
+"""Seeded exact sampling from numpy's radial laws, and the radial inverse CDF."""
 
 import math
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qginfo.errors import DomainError
+from qginfo.errors import DivergenceError, DomainError
 from qginfo.qgaussian import QGaussianParams, closed_moment_alpha
 from qginfo.sampling import (
     MAX_COORDINATES,
     RNG_ALGORITHM,
-    SPLIT_MIN_COUNT,
     empirical_moment,
     radial_cdf,
     radial_quantile,
@@ -53,6 +52,15 @@ class TestQuantile:
         p = QGaussianParams(n=1, alpha=2.0, q=1.0, gamma=0.5)
         expected = math.sqrt(2.0) * erfinv(0.5)
         assert radial_quantile(p, np.array([0.5]))[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_beta_prime_tail_kept(self):
+        # x = betaincinv(a, b, u) rounds to 1 here, so t = x/(1-x) would be inf;
+        # the complement 1 - u is the exact mass above the float u
+        p = QGaussianParams(n=4, alpha=1.0, q=0.76)
+        u = 1.0 - 1e-12
+        r = radial_quantile(p, u)
+        assert math.isfinite(r)
+        assert radial_tail_mass(p, r) == pytest.approx(1.0 - u, rel=1e-6)
 
     def test_tail_mass_complements_cdf(self):
         p = QGaussianParams(n=2, alpha=2.0, q=1.3)
@@ -107,10 +115,10 @@ class TestSample:
         assert np.linalg.norm(directions.mean(axis=0)) < 4.0 / math.sqrt(batch.count)
 
     def test_radial_ks(self):
-        # exact inverse-CDF sampling: KS distance is that of the uniforms
+        # exact radial laws, the beta-prime one out to a tail with no finite m_alpha
         from scipy.stats import kstest
 
-        for params in CASES:
+        for params in [*CASES, QGaussianParams(n=4, alpha=1.0, q=0.76)]:
             batch = sample(params, 20000, seed=17)
             radii = np.linalg.norm(batch.points, axis=1)
             stat = kstest(radii, lambda r: radial_cdf(params, np.asarray(r))).statistic
@@ -122,18 +130,31 @@ class TestSample:
         est, se = empirical_moment(batch, params.alpha)
         assert abs(est - closed_moment_alpha(params)) < 4.0 * se
 
-    @pytest.mark.parametrize("count", [1, 2, 1001, SPLIT_MIN_COUNT - 1, SPLIT_MIN_COUNT,
-                                       SPLIT_MIN_COUNT + 1])
+    @pytest.mark.parametrize("count", [1, 2, 1001, 32767, 32768, 32769])
     @pytest.mark.parametrize("params", CASES)
     def test_points_match_one_stream_inverted_whole(self, params, count):
-        # large batches invert the radii in two halves on two threads; every
-        # batch must be the one a single pass over the bare stream gives
+        # every batch is one pass over the bare stream: the radial variates
+        # (two gamma arrays for beta-prime), then the normals
         rng = np.random.Generator(np.random.PCG64(29))
-        uniforms = rng.random(count)
+        a, q = params.n / params.alpha, params.q
+        if q == 1.0:
+            t = rng.standard_gamma(a, count) / params.gamma
+        elif q > 1.0:
+            t = rng.beta(a, 1.0 / (q - 1.0) + 1.0, count) / (params.gamma * (q - 1.0))
+        else:
+            b = 1.0 / (1.0 - q) - a
+            t = rng.standard_gamma(a, count) / rng.standard_gamma(b, count)
+            t = t / (params.gamma * (1.0 - q))
         direction = rng.standard_normal((count, params.n))
-        radii = radial_quantile(params, uniforms)
+        radii = t ** (1.0 / params.alpha)
         expected = radii[:, None] * (direction / np.linalg.norm(direction, axis=1)[:, None])
         assert sample(params, count, seed=29).points.tobytes() == expected.tobytes()
+
+    def test_non_finite_draws_rejected(self):
+        # standard_gamma(1/0.249 - 4) underflows to 0 on 2 of these 1e5 draws
+        p = QGaussianParams(n=4, alpha=1.0, q=0.751)
+        with pytest.raises(DivergenceError, match="2 of 100000 radii"):
+            sample(p, 100_000, seed=1)
 
     def test_oversized_batch_rejected_before_seeding(self):
         p = QGaussianParams(n=4, alpha=2.0, q=1.0)
