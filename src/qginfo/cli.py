@@ -22,7 +22,7 @@ import tempfile
 import threading
 
 from . import validity
-from .errors import ConvergenceError, DomainError, ZeroDensityError
+from .errors import ConvergenceError, DivergenceError, DomainError, ZeroDensityError
 from .inequalities import (
     DEFAULT_EQ_TOL,
     DEFAULT_REL_TOL,
@@ -90,7 +90,10 @@ def _emit(text, out: str | None):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, default=float)
+    try:  # strict JSON: a NaN or an infinity in a report is a numeric failure
+        return json.dumps(obj, indent=2, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise DivergenceError(f"the report holds a non-finite value ({exc})") from None
 
 
 def _csv_text(config: dict, header, rows) -> str:
@@ -420,9 +423,11 @@ def cmd_minimize(args) -> int:
     if args.format == "csv":
         closed = extremal_profile(problem)
         rows = zip(problem.grid.tolist(), solution.u_values.tolist(), closed.tolist())
+        # the summary is formatted first, so a non-finite one writes nothing
+        summary = _json_text({"objective": solution.objective,
+                              "prop1": {"lhs": lhs, "rhs": rhs, "rel_gap": gap}})
         _emit(_csv_text(config, ["r", "u", "closed_form_u"], rows), args.out)
-        print(_json_text({"objective": solution.objective,
-                          "prop1": {"lhs": lhs, "rhs": rhs, "rel_gap": gap}}))
+        print(summary)
     else:
         payload = {
             "config": config,

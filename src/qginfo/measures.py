@@ -6,9 +6,11 @@ derivative, reduce every n-dimensional integral to one radial integral through
 
     integral over R^n of g(|x|) dx  =  n * omega_n * integral r^{n-1} g(r) dr,
 
-and integrate adaptively with tail truncation. That independence is what makes
-them usable as oracles for the closed forms and as the measurement backend for
-densities that have no closed form at all (mixtures, tabulated profiles).
+and integrate adaptively: a compact support in r, an infinite one in s = log r
+over a fixed window, plus the power-law remainder of the weight past it. That
+independence is what makes them usable as oracles for the closed forms and as
+the measurement backend for densities that have no closed form at all
+(mixtures, tabulated profiles).
 """
 
 import math
@@ -49,8 +51,8 @@ QUADRATURE = "quadrature"
 # the fields of a MeasureSet, in report order
 MEASURE_KEYS = ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")
 
-# weight level below which the radial tail is cut
-_TAIL_WEIGHT_CUT = 1e-16
+# the window of s = log r over which an infinite support is integrated
+_S_MIN, _S_MAX = -40.0, 80.0
 
 
 @dataclass(frozen=True)
@@ -130,71 +132,63 @@ class MeasureSet:
         }
 
 
-def _chebyshev_knots(a: float, b: float, count: int) -> np.ndarray:
-    # clusters subintervals at both endpoints, where singular behavior lives
-    t = np.linspace(0.0, 1.0, count + 1)
-    return a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * t))
-
-
 def _quad(g, a: float, b: float, rel_tol: float) -> float:
-    """Adaptive quadrature on [a, b] with error control and a subdivision rescue."""
+    """Adaptive Gauss-Kronrod quadrature on [a, b] with error control."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(g, a, b, epsabs=0.0, epsrel=rel_tol, limit=300)
-        if err <= 50.0 * rel_tol * max(abs(val), 1e-300):
-            return val
-        total = 0.0
-        total_err = 0.0
-        knots = _chebyshev_knots(a, b, 16)
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            v, e = integrate.quad(g, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=300)
-            total += v
-            total_err += e
-    if total_err <= 100.0 * rel_tol * max(abs(total), 1e-300):
-        return total
-    raise DivergenceError(
-        f"quadrature error {total_err:.3e} exceeds tolerance on [{a:g}, {b:g}]",
-        partial=total,
-    )
+    if err <= 50.0 * rel_tol * max(abs(val), 1e-300):
+        return val
+    raise DivergenceError(f"quadrature error {err:.3e} exceeds tolerance on [{a:g}, {b:g}]",
+                          partial=val)
 
 
-def _truncation_radius(f: RadialDensity, weight_exponent: float) -> float:
-    """Radius beyond which r^{n-1} f_r(r) max(1, r^we) stays below the cut.
+def _integrate_radial(f: RadialDensity, w, rel_tol: float) -> float:
+    """Integrate the radial weight w(r, log r) = r * integrand over (0, R).
 
-    The weight must also be decreasing at the cut so that a low-density region
-    in front of a distant bulk cannot trigger a premature cut.
-    """
-    n = f.dim
-    r = 0.5
-    w_prev = math.inf
-    for _ in range(120):
-        w = r ** (n - 1) * f.profile(r) * max(1.0, r**weight_exponent)
-        if w < _TAIL_WEIGHT_CUT and w <= w_prev:
-            return max(r, 1.0)
-        w_prev = w
-        r *= 2.0
-    raise DivergenceError("radial density weight never decays below the truncation cut")
-
-
-def _integrate_radial(f: RadialDensity, g, weight_exponent: float, rel_tol: float) -> float:
-    """Integrate g over (0, R) exactly or with self-extending truncation.
-
-    Gauss-Kronrod nodes are strictly interior, so compact supports are
-    integrated right up to their endpoint; integrable boundary singularities
-    are handled by the extrapolating subdivision of the engine.
+    A compact support is integrated in r over [0, R], with integrand w/r;
+    Gauss-Kronrod nodes are strictly interior, so the integral reaches the
+    endpoint. An infinite support is integrated in s = log r over the window
+    [_S_MIN, _S_MAX], where a bulk at any scale is a bump of width O(1) and a
+    power tail r^-p of the integrand is e^{-(p-1)s}. Past the window the
+    remainder w(s_max)/kappa is added, kappa being the log-slope of w over the
+    last unit of s: it is read from the weight alone, never from a parameter
+    of the density. DivergenceError is raised where the weight does not decay
+    at the cut (kappa <= 0, or a sign change) and where it underflowed to 0
+    before the cut while its last nonzero value was above rel_tol times the
+    integral. The callers check that the result is finite.
     """
     R = f.support_hint
     if math.isfinite(R):
-        return _quad(g, 0.0, R, rel_tol)
-    R = _truncation_radius(f, weight_exponent)
-    total = _quad(g, 0.0, R, rel_tol)
-    for _ in range(10):
-        tail = _quad(g, R, 4.0 * R, rel_tol)
-        total += tail
-        if abs(tail) <= 0.25 * rel_tol * max(abs(total), 1e-300):
-            return total
-        R *= 4.0
-    raise DivergenceError("radial integral tail does not stabilize", partial=total)
+        return _quad(lambda r: w(r, math.log(r)) / r, 0.0, R, rel_tol)
+    last = [_S_MIN, 0.0]  # the largest s evaluated where the weight is nonzero, and the weight
+
+    def h(s: float) -> float:
+        v = w(math.exp(s), s)
+        if v != 0.0 and s > last[0]:
+            last[:] = s, v
+        return v
+
+    total = _quad(h, _S_MIN, _S_MAX, rel_tol)
+    end = h(_S_MAX)
+    if end != 0.0:
+        ratio = h(_S_MAX - 1.0) / end
+        if ratio <= 1.0:
+            raise DivergenceError("radial weight does not decay at the cut", partial=total)
+        total += end / math.log(ratio)
+    elif abs(last[1]) > rel_tol * abs(total):
+        raise DivergenceError(
+            f"radial weight underflows to 0 past log r = {last[0]:.4g}, where it is "
+            f"{last[1]:.3g}", partial=total)
+    return total
+
+
+def _finite(value: float, positive: bool = False) -> float:
+    """The value of a radial integral, which must be finite, and positive if asked."""
+    if math.isfinite(value) and (value > 0.0 or not positive):
+        return value
+    what = "a finite positive" if positive else "a finite"
+    raise DivergenceError(f"radial integral evaluates to {value:g}, not {what} value")
 
 
 def _fd_derivative(profile) -> Callable[[float], float]:
@@ -212,33 +206,29 @@ def _fd_derivative(profile) -> Callable[[float], float]:
     return deriv
 
 
+def _power_weight(f: RadialDensity, p: float, q: float):
+    """The weight w(r, log r) = n omega_n r^{n+p} f_r^q of int |x|^p f^q, assembled in log space."""
+    surface, power = unit_sphere_area(f.dim), f.dim + p
+
+    def w(r: float, log_r: float) -> float:
+        fv = f.profile(r)
+        return 0.0 if fv <= 0.0 else surface * math.exp(power * log_r + q * math.log(fv))
+
+    return w
+
+
 def quad_Mq(f: RadialDensity, q: float, *, rel_tol: float = 1e-8) -> float:
     """Information generating functional M_q[f] = int f^q over R^n."""
     if q < 0:
         raise DomainError(f"quad_Mq requires q >= 0, got {q}")
-    n = f.dim
-    surface = unit_sphere_area(n)
-
-    def g(r: float) -> float:
-        fv = f.profile(r)
-        if fv <= 0.0:
-            return 0.0
-        return surface * r ** (n - 1) * fv**q
-
-    return _integrate_radial(f, g, 0.0, rel_tol)
+    return _finite(_integrate_radial(f, _power_weight(f, 0.0, q), rel_tol), positive=True)
 
 
 def quad_moment(f: RadialDensity, alpha: float, *, rel_tol: float = 1e-8) -> float:
     """Elliptic moment m_alpha[f] = int |x|^alpha f over R^n."""
     if alpha <= 0:
         raise DomainError(f"quad_moment requires alpha > 0, got {alpha}")
-    n = f.dim
-    surface = unit_sphere_area(n)
-
-    def g(r: float) -> float:
-        return surface * r ** (n - 1 + alpha) * f.profile(r)
-
-    return _integrate_radial(f, g, alpha, rel_tol)
+    return _finite(_integrate_radial(f, _power_weight(f, alpha, 1.0), rel_tol), positive=True)
 
 
 def quad_shannon(f: RadialDensity, *, rel_tol: float = 1e-8) -> float:
@@ -246,12 +236,14 @@ def quad_shannon(f: RadialDensity, *, rel_tol: float = 1e-8) -> float:
     n = f.dim
     surface = unit_sphere_area(n)
 
-    def g(r: float) -> float:
+    def w(r: float, log_r: float) -> float:
         fv = f.profile(r)
-        return -surface * r ** (n - 1) * float(_special.xlogy(fv, fv))
+        if fv <= 0.0:
+            return 0.0
+        log_f = math.log(fv)
+        return -surface * log_f * math.exp(n * log_r + log_f)
 
-    # the |log f| factor grows slower than any power; weight exponent 1 suffices
-    return _integrate_radial(f, g, 1.0, rel_tol)
+    return _finite(_integrate_radial(f, w, rel_tol))
 
 
 def quad_fisher(
@@ -275,12 +267,11 @@ def quad_fisher(
     if why := validity.differentiable(f.differentiable):
         raise DomainError(f"{f.descriptor}: {why}")
     n = f.dim
-    alpha = beta / (beta - 1.0)
     surface = unit_sphere_area(n)
     dprof = derivative or f.derivative or _fd_derivative(f.profile)
     w_exp = beta * (q - 1.0) + 1.0
 
-    def g(r: float) -> float:
+    def w(r: float, log_r: float) -> float:
         fv = f.profile(r)
         dv = dprof(r)
         if fv <= 0.0:
@@ -293,13 +284,12 @@ def quad_fisher(
             )
         if dv == 0.0:
             return 0.0
-        # log-space assembly keeps f^{w-beta} |f'|^beta finite in deep tails
-        expo = (w_exp - beta) * math.log(fv) + beta * math.log(abs(dv))
-        if expo < -745.0:
-            return 0.0
-        return surface * r ** (n - 1) * math.exp(expo)
+        # log-space assembly keeps r^n f^{w-beta} |f'|^beta finite in deep tails
+        return surface * math.exp(
+            n * log_r + (w_exp - beta) * math.log(fv) + beta * math.log(abs(dv))
+        )
 
-    return _integrate_radial(f, g, alpha, rel_tol)
+    return _finite(_integrate_radial(f, w, rel_tol), positive=True)
 
 
 def measure_all(
@@ -436,9 +426,10 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
         return max(float(spline(rr)), 0.0) if rr < R else 0.0
 
     probe = RadialDensity(dim=int(dim), profile=raw, support_hint=R, descriptor=descriptor)
-    mass = probe.normalization()
-    if not (mass > 0 and math.isfinite(mass)):
-        raise DomainError("tabulated profile has no usable mass")
+    try:
+        mass = probe.normalization()
+    except DivergenceError:
+        raise DomainError("tabulated profile has no usable mass") from None
 
     def profile(rr: float) -> float:
         return raw(rr) / mass

@@ -158,30 +158,41 @@ def partition_fn(params: QGaussianParams) -> float:
     return mu_pnu(params, 0.0, 1.0, _branch_s(params))
 
 
-# The profile and its derivative take a float or an array of radii. They use
-# arithmetic operators only (math.e ** x rather than math.exp or np.exp), so
-# the scalar calls made by the quadrature loops pay no numpy per-call cost.
+def _profile_pair(params: QGaussianParams):
+    """The profile f_r and its derivative, each of a float (with math) or an array (numpy).
 
+    The bracket (1 - (q-1) t)^(1/(q-1)), t = gamma r^alpha, is taken as
+    exp(log1p(-(q-1) t)/(q-1)), accurate next to q = 1. Where t leaves float
+    range, the bracket is below any double unless q < 1, where it is
+    ((1-q) t)^(1/(q-1)), taken from log r.
+    """
+    Z = partition_fn(params)
+    alpha, gamma = params.alpha, params.gamma
+    s = 0.0 if params.exponential_branch else params.q - 1.0
 
-def _profile(params: QGaussianParams, Z: float, r):
-    alpha, q, gamma = params.alpha, params.q, params.gamma
-    if params.exponential_branch:
-        return math.e ** (-gamma * r**alpha) / Z
-    base = 1.0 - (q - 1.0) * gamma * r**alpha
-    # (base + |base|)/2 is max(base, 0) exactly, and +0.0 outside the support
-    return ((base + abs(base)) * 0.5) ** (1.0 / (q - 1.0)) / Z
+    def profile(r):
+        xp = np if isinstance(r, np.ndarray) else math
+        try:
+            t = gamma * r**alpha
+        except OverflowError:
+            return math.exp((math.log(-s * gamma) + alpha * math.log(r)) / s) / Z if s < 0 else 0.0
+        if s == 0.0:
+            return xp.exp(-t) / Z
+        inside = s * t < 1.0  # outside a compact support log1p reads 0, and the result is zeroed
+        return xp.exp(xp.log1p(-s * t * inside) / s) * inside / Z
 
+    def derivative(r):
+        # -gamma alpha r^(alpha-1) f / (1 - (q-1) t); the base is replaced by 1
+        # outside a compact support, under f = 0, and far out it is -(q-1) t
+        f = profile(r)
+        try:
+            t, slope = gamma * r**alpha, -gamma * alpha * r ** (alpha - 1.0)
+        except OverflowError:
+            return alpha * f / (s * r) if f else 0.0
+        inside = s * t < 1.0
+        return slope * f / ((1.0 - s * t) * inside + (1.0 - inside))
 
-def _profile_derivative(params: QGaussianParams, Z: float, r):
-    alpha, q, gamma = params.alpha, params.q, params.gamma
-    slope = -gamma * alpha * r ** (alpha - 1.0)
-    if params.exponential_branch:
-        return slope * math.e ** (-gamma * r**alpha) / Z
-    base = 1.0 - (q - 1.0) * gamma * r**alpha
-    inside = base > 0.0
-    # outside the support base is replaced by 1, so that its power stays finite
-    # for q >= 2, and the result is zeroed by the indicator
-    return slope * (base * inside + (1.0 - inside)) ** (1.0 / (q - 1.0) - 1.0) * inside / Z
+    return profile, derivative
 
 
 def _radius(r):
@@ -193,12 +204,12 @@ def _radius(r):
 
 def radial_profile(params: QGaussianParams, r):
     """Density value at radius r >= 0 (a float, or an array of radii)."""
-    return _profile(params, partition_fn(params), _radius(r))
+    return _profile_pair(params)[0](_radius(r))
 
 
 def radial_profile_derivative(params: QGaussianParams, r):
     """Analytic radial derivative of the density at radius r >= 0 (float or array)."""
-    return _profile_derivative(params, partition_fn(params), _radius(r))
+    return _profile_pair(params)[1](_radius(r))
 
 
 def density(params: QGaussianParams, x) -> float:
@@ -218,14 +229,7 @@ def radial_density(params: QGaussianParams) -> RadialDensity:
     are cheap per call. The instance is tagged with its parameters so measure
     consumers can route to closed forms when they recognize the family.
     """
-    Z = partition_fn(params)
-
-    def profile(r: float) -> float:
-        return _profile(params, Z, r)
-
-    def derivative(r: float) -> float:
-        return _profile_derivative(params, Z, r)
-
+    profile, derivative = _profile_pair(params)
     label = (
         f"qgaussian:n={params.n},alpha={params.alpha:g},"
         f"q={params.q:g},gamma={params.gamma:g}"

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qginfo.cli
+from qginfo import validity
 from qginfo.cli import FORK_MIN_COORDINATES, SAMPLE_BLOCK, main
 from qginfo.inequalities import INEQUALITY_NAMES
 from qginfo.qgaussian import QGaussianParams
@@ -124,6 +125,105 @@ class TestMeasuresCommand:
         rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
         assert rows[0] == ["measure", "closed"]
         assert len(rows) == 7
+
+
+def _both_methods(argv, capsys) -> tuple:
+    """Exit code and max_rel_gap (None unless the exit is 0) of measures --method both."""
+    code, out, _ = run(["measures", "--method", "both", *argv], capsys)
+    return code, json.loads(out)["max_rel_gap"] if code == 0 else None
+
+
+class TestQuadratureReach:
+    """The quadrature oracle on power tails, multiscale mixtures and scale extremes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_power_tails_match_closed_forms(self, n, alpha, capsys):
+        # q from just above n/(n+alpha): 170 of these 234 members exited 3
+        for i in range(1, 27):
+            q = n / (n + alpha) + 0.2 * i / 26
+            code, gap = _both_methods(["--n", str(n), "--alpha", repr(alpha), "--q", repr(q)],
+                                      capsys)
+            assert code == 0 and gap <= 1e-6, (q, code, gap)
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_heavy_tails_are_right_or_divergent(self, n, capsys):
+        # where the profile underflows before the weight has decayed, the
+        # integral exits 3; no member is silently wrong
+        for alpha in (2.0, 3.0, 6.0):
+            for dq in (0.003, 0.01, 0.03, 0.1):
+                argv = ["--n", str(n), "--alpha", repr(alpha), "--q", repr(n / (n + alpha) + dq)]
+                code, gap = _both_methods(argv, capsys)
+                assert code == 3 or (code == 0 and gap <= 1e-6), (argv, code, gap)
+
+    def test_compact_support_far_beyond_the_bulk_is_not_invalid_input(self, capsys):
+        # the support radius is 4.6e4 and the bulk is near 1: an open defect,
+        # but a numeric failure, never a silent 0 or exit 2
+        code, gap = _both_methods(["--alpha", "1.5", "--q", "1.0000001"], capsys)
+        assert code == 3 or (code == 0 and gap <= 1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_edge_grid_exits_as_its_validity_says(self, n, capsys):
+        for alpha in (1.2, 4.0, 8.0, 12.0, 30.0):
+            for q in (0.5, 0.8, 0.95, 0.999, 1.0, 1.001, 1.3, 2.0, 5.0):
+                gated = any(bound(n, alpha, q) for bound in
+                            (validity.existence, validity.mq_finite, validity.fisher_finite))
+                code, gap = _both_methods(["--n", str(n), "--alpha", repr(alpha), "--q", repr(q)],
+                                          capsys)
+                assert code == (2 if gated else 0), (alpha, q, code)
+                assert gated or gap <= 1e-6, (alpha, q, gap)
+
+    def test_multiscale_mixture_ratios_agree_at_q_one(self, capsys):
+        # at q = 1 the fisher-moment-entropy ratio is the Cramer-Rao ratio; the
+        # narrow component was lost (mass 0.186, ratios 1643 and 305)
+        code, out, _ = run(["verify", "--all", "--n", "1", "--q", "1", "--density",
+                            "mixture:0.0924,0,9581.2;0.4053,0,0.01548"], capsys)
+        assert code == 0
+        ratios = {r["name"]: r["ratio"] for r in json.loads(out)["reports"]}
+        assert ratios["fisher-moment-entropy"] == pytest.approx(ratios["cramer-rao"], rel=1e-6)
+        assert ratios["cramer-rao"] == pytest.approx(305.111, rel=1e-5)
+
+    def test_very_wide_mixture(self, capsys):
+        code, _, err = run(["verify", "--all", "--n", "2", "--density", "mixture:1,0,1e15"],
+                           capsys)
+        assert (code, err) == (0, "")
+
+    def test_underflowed_moment_is_divergence_not_violation(self, capsys):
+        # m_alpha = R^2/3 underflows to 0: a ratio of 0.0 exited 4
+        code, out, err = run(["verify", "--all", "--density", "uniform-ball:1e-300"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    def test_huge_ball_moment_is_finite_and_scale_invariant(self, capsys):
+        # the moment 3.3e307 is finite; "lhs": Infinity was printed with exit 0
+        ratios = []
+        for radius in ("1", "1e154"):
+            code, out, _ = run(["verify", "--all", "--density", f"uniform-ball:{radius}"], capsys)
+            assert code == 0
+            (report,) = json.loads(out)["reports"]
+            assert math.isfinite(report["lhs"])
+            ratios.append(report["ratio"])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+        assert ratios[0] == pytest.approx(1.19302, rel=1e-5)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_exits_3_and_writes_nothing(self, fmt, tmp_path, capsys):
+        # the solve collapses; its objective is Infinity and its Prop. 1 gap NaN
+        argv = ["minimize", "--n", "1", "--q", "1", "--moment", "1e-300", "--nodes", "50",
+                "--format", fmt]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "") and "non-finite" in err
+        path = tmp_path / f"solution.{fmt}"
+        code, out, _ = run([*argv, "--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert not path.exists()
+
+    def test_all_zero_table_is_invalid_input(self, tmp_path, capsys):
+        table = tmp_path / "zero.csv"
+        table.write_text("r,f\n0,0\n1,0\n2,0\n3,0\n", encoding="utf-8")
+        code, _, err = run(["verify", "--all", "--density", f"profile:{table}"], capsys)
+        assert code == 2
+        assert "no usable mass" in err
 
 
 class TestVerifyCommand:
@@ -579,9 +679,9 @@ _FROZEN = {
         '"gamma": 1.0}, "format": "csv", "method": "both"}\n'
         "measure,closed,quadrature\r\n"
         "mq,1.0,1.0000000000000002\r\n"
-        "hq,1.0723649429247,1.0723649429247004\r\n"
-        "sq,1.0723649429247,1.0723649429247004\r\n"
-        "nq,2.9222823653222774,2.9222823653222787\r\n"
+        "hq,1.0723649429247,1.0723649429247002\r\n"
+        "sq,1.0723649429247,1.0723649429247002\r\n"
+        "nq,2.9222823653222774,2.9222823653222783\r\n"
         "m_alpha,0.5,0.5000000000000001\r\n"
         "i_bq,2.0,2.0\r\n"
     ),

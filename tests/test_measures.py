@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qginfo.errors import DomainError, ZeroDensityError
+from qginfo.errors import DivergenceError, DomainError, ZeroDensityError
 from qginfo.measures import (
     MeasureSet,
     RadialDensity,
@@ -19,7 +19,7 @@ from qginfo.measures import (
     truncated_exponential,
     uniform_ball,
 )
-from qginfo.qgaussian import QGaussianParams, closed_measures, radial_density
+from qginfo.qgaussian import QGaussianParams, closed_measures, partition_fn, radial_density
 
 # frozen mixture references (independent high-precision quadrature):
 # 0.5 N(0,1) + 0.5 N(0,4) in one dimension
@@ -86,6 +86,49 @@ class TestMixtures:
         for r in (0.4, 1.1, 2.3):
             fd = (f.profile(r + h) - f.profile(r - h)) / (2.0 * h)
             assert f.derivative(r) == pytest.approx(fd, rel=1e-6)
+
+
+class TestLogRadiusIntegral:
+    def test_multiscale_mixture_keeps_its_narrow_component(self):
+        # the component of variance 0.0155 was lost next to the one of 9581: mass 0.186
+        f = gaussian_mixture(1, [(0.0924, 9581.2), (0.4053, 0.01548)])
+        assert quad_Mq(f, 1.0) == pytest.approx(1.0, abs=1e-8)
+
+    def test_very_wide_mixture(self):
+        assert quad_Mq(gaussian_mixture(2, [(1.0, 1e15)]), 1.0) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_next_to_q_one(self, n, alpha):
+        # the profile kept 1/|q-1| times its rounding error: measure_all raised
+        # at q = 1 - 1e-11 on every pair
+        qs = [1.0 - 10.0**-k for k in (3, 5, 7, 9, 11)] + [1.0 + 1e-3, 1.0 + 1e-5]
+        for q in qs:
+            p = QGaussianParams(n=n, alpha=alpha, q=q)
+            got, ref = measure_all(radial_density(p), alpha, q), closed_measures(p)
+            for key in ("Mq", "m_alpha", "I_bq"):
+                assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-6), (q, key)
+
+    def test_power_tail_past_float_range_of_r_alpha(self):
+        # r^alpha leaves float range inside the window; the profile takes log r there
+        p = QGaussianParams(n=1, alpha=30.0, q=0.5)
+        f = radial_density(p)
+        assert f.profile(1e30) == pytest.approx(
+            math.exp(-2.0 * (math.log(0.5) + 30.0 * math.log(1e30))) / partition_fn(p), rel=1e-12)
+        assert quad_moment(f, 30.0) == pytest.approx(closed_measures(p).m_alpha, rel=1e-8)
+
+    def test_underflowed_tail_is_divergence(self):
+        # the profile underflows to 0 while r^n f^q has not decayed: an error,
+        # not a truncated value
+        p = QGaussianParams(n=12, alpha=6.0, q=12.0 / 18.0 + 0.003)
+        with pytest.raises(DivergenceError, match="underflows"):
+            quad_Mq(radial_density(p), p.q)
+
+    def test_growing_weight_is_divergence(self):
+        # M_q of a Cauchy-like tail at q where int f^q diverges
+        f = RadialDensity(dim=1, profile=lambda r: 1.0 / (math.pi * (1.0 + r * r)))
+        with pytest.raises(DivergenceError, match="does not decay"):
+            quad_Mq(f, 0.4)
 
 
 class TestFactories:
