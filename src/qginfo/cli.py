@@ -21,6 +21,8 @@ import sys
 import tempfile
 import threading
 
+import numpy as np
+
 from . import validity
 from .errors import ConvergenceError, DivergenceError, DomainError, ZeroDensityError
 from .inequalities import (
@@ -410,7 +412,9 @@ def cmd_sample(args) -> int:
 
 def cmd_minimize(args) -> int:
     problem = make_problem(args.n, args.alpha, args.q, args.moment, num_nodes=args.nodes)
-    solution = solve(problem, init=args.init)
+    # a collapsing solve overflows on its way to a non-finite report, which exits 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = solve(problem, init=args.init)
     lhs, rhs, gap = check_proposition1(solution, problem)
     config = {
         "subcommand": "minimize",

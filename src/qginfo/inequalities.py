@@ -65,9 +65,6 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_EQ_TOL = 1e-5
 
-# relative tolerance of every quadrature behind a check
-_QUAD_REL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -145,23 +142,21 @@ class _MeasureBackend:
         return self._cache[key]
 
     def Mq(self) -> float:
-        return self._get("Mq", closed_Mq, lambda f: quad_Mq(f, self.q, rel_tol=_QUAD_REL_TOL))
+        return self._get("Mq", closed_Mq, lambda f: quad_Mq(f, self.q))
 
     def Nq(self) -> float:
         def quad(f) -> float:
             if validity.exponential_branch(self.q):
-                return math.exp(quad_shannon(f, rel_tol=_QUAD_REL_TOL))
+                return math.exp(quad_shannon(f))
             return self.Mq() ** (1.0 / (1.0 - self.q))
 
         return self._get("Nq", entropy_power, quad)
 
     def m_alpha(self) -> float:
-        return self._get("m_alpha", closed_moment_alpha,
-                         lambda f: quad_moment(f, self.alpha, rel_tol=_QUAD_REL_TOL))
+        return self._get("m_alpha", closed_moment_alpha, lambda f: quad_moment(f, self.alpha))
 
     def I_bq(self) -> float:
-        return self._get("I_bq", closed_fisher,
-                         lambda f: quad_fisher(f, self.beta, self.q, rel_tol=_QUAD_REL_TOL))
+        return self._get("I_bq", closed_fisher, lambda f: quad_fisher(f, self.beta, self.q))
 
 
 def _fisher_moment(m: _MeasureBackend) -> float:

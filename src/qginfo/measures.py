@@ -6,11 +6,11 @@ derivative, reduce every n-dimensional integral to one radial integral through
 
     integral over R^n of g(|x|) dx  =  n * omega_n * integral r^{n-1} g(r) dr,
 
-and integrate adaptively: a compact support in r, an infinite one in s = log r
-over a fixed window, plus the power-law remainder of the weight past it. That
-independence is what makes them usable as oracles for the closed forms and as
-the measurement backend for densities that have no closed form at all
-(mixtures, tabulated profiles).
+and integrate adaptively to 1e-8 relative: a compact support in r, an infinite
+one in s = log r over a fixed window, plus the power-law remainders of the
+weight on both sides of it. That independence is what makes them usable as
+oracles for the closed forms and as the measurement backend for densities that
+have no closed form at all (mixtures, tabulated profiles).
 """
 
 import math
@@ -54,6 +54,9 @@ MEASURE_KEYS = ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq")
 # the window of s = log r over which an infinite support is integrated
 _S_MIN, _S_MAX = -40.0, 80.0
 
+# relative tolerance of every radial quadrature
+_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RadialDensity:
@@ -85,9 +88,9 @@ class RadialDensity:
         if not (self.support_hint > 0):
             raise DomainError("support_hint must be positive (possibly inf)")
 
-    def normalization(self, rel_tol: float = 1e-8) -> float:
+    def normalization(self) -> float:
         """Total mass n*omega_n*int r^{n-1} f_r(r) dr; should be 1 for a density."""
-        return quad_Mq(self, 1.0, rel_tol=rel_tol)
+        return quad_Mq(self, 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,47 +123,72 @@ class MeasureSet:
 
     def as_dict(self) -> dict:
         n, alpha, beta, q = self.params_echo
-        return {
-            "Mq": self.Mq,
-            "Hq": self.Hq,
-            "Sq": self.Sq,
-            "Nq": self.Nq,
-            "m_alpha": self.m_alpha,
-            "I_bq": self.I_bq,
-            "method": dict(self.method),
-            "params": {"n": n, "alpha": alpha, "beta": beta, "q": q},
-        }
+        return {**{key: getattr(self, key) for key in MEASURE_KEYS}, "method": dict(self.method),
+                "params": {"n": n, "alpha": alpha, "beta": beta, "q": q}}
 
 
-def _quad(g, a: float, b: float, rel_tol: float) -> float:
+def _from_renyi(Mq, Hq, m_alpha, I_bq, tag: str, params_echo: tuple) -> MeasureSet:
+    """The MeasureSet of (M_q, H_q, m_alpha, I_bq), every field tagged ``tag``.
+
+    S_q = (1 - M_q)/(q - 1) and N_q = M_q^(1/(1-q)) follow from H_q as
+    H_q exprel((1-q) H_q) and exp(H_q), with q - 1 read as 0 on the exponential
+    branch: continuous through q = 1, where S_q is H_q, the Shannon entropy.
+    """
+    q = params_echo[3]
+    s = 0.0 if validity.exponential_branch(q) else q - 1.0
+    return MeasureSet(Mq=Mq, Hq=Hq, Sq=Hq * float(_special.exprel(-s * Hq)), Nq=math.exp(Hq),
+                      m_alpha=m_alpha, I_bq=I_bq, method=dict.fromkeys(MEASURE_KEYS, tag),
+                      params_echo=params_echo)
+
+
+def _quad(g, a: float, b: float) -> float:
     """Adaptive Gauss-Kronrod quadrature on [a, b] with error control."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(g, a, b, epsabs=0.0, epsrel=rel_tol, limit=300)
-    if err <= 50.0 * rel_tol * max(abs(val), 1e-300):
+        val, err = integrate.quad(g, a, b, epsabs=0.0, epsrel=_REL_TOL, limit=300)
+    if err <= 50.0 * _REL_TOL * max(abs(val), 1e-300):
         return val
     raise DivergenceError(f"quadrature error {err:.3e} exceeds tolerance on [{a:g}, {b:g}]",
                           partial=val)
 
 
-def _integrate_radial(f: RadialDensity, w, rel_tol: float) -> float:
+def _remainder(h, cut: float, inward: float, total: float) -> float:
+    """The integral of the weight h(s) beyond the window end ``cut``: h(cut)/kappa.
+
+    kappa is the log-slope of h over the unit of s ``inward`` of the cut. It
+    must be positive, and the slope over the next unit in must give the same
+    remainder to the tolerance times ``total``; else DivergenceError.
+    """
+    end = h(cut)
+    if end == 0.0:
+        return 0.0
+    first, second = h(cut + inward), h(cut + 2.0 * inward)
+    if first / end <= 1.0 or second / first <= 1.0:
+        raise DivergenceError("radial weight does not decay at the cut", partial=total)
+    remainder = end / math.log(first / end)
+    if abs(end / math.log(second / first) - remainder) > _REL_TOL * abs(total):
+        raise DivergenceError(
+            f"radial weight is not a power law of r at log r = {cut:g}", partial=total)
+    return remainder
+
+
+def _integrate_radial(f: RadialDensity, w) -> float:
     """Integrate the radial weight w(r, log r) = r * integrand over (0, R).
 
     A compact support is integrated in r over [0, R], with integrand w/r;
     Gauss-Kronrod nodes are strictly interior, so the integral reaches the
     endpoint. An infinite support is integrated in s = log r over the window
     [_S_MIN, _S_MAX], where a bulk at any scale is a bump of width O(1) and a
-    power tail r^-p of the integrand is e^{-(p-1)s}. Past the window the
-    remainder w(s_max)/kappa is added, kappa being the log-slope of w over the
-    last unit of s: it is read from the weight alone, never from a parameter
-    of the density. DivergenceError is raised where the weight does not decay
-    at the cut (kappa <= 0, or a sign change) and where it underflowed to 0
-    before the cut while its last nonzero value was above rel_tol times the
-    integral. The callers check that the result is finite.
+    power law r^-p of the integrand is e^{-(p-1)s}. On both sides of the window
+    a remainder read from the weight alone is added (``_remainder``); below it,
+    that is the mass of a bulk too narrow to lie inside. DivergenceError is also
+    raised where the weight underflowed to 0 before the upper cut while its last
+    nonzero value was above the tolerance times the integral. The callers check
+    that the result is finite.
     """
     R = f.support_hint
     if math.isfinite(R):
-        return _quad(lambda r: w(r, math.log(r)) / r, 0.0, R, rel_tol)
+        return _quad(lambda r: w(r, math.log(r)) / r, 0.0, R)
     last = [_S_MIN, 0.0]  # the largest s evaluated where the weight is nonzero, and the weight
 
     def h(s: float) -> float:
@@ -169,18 +197,13 @@ def _integrate_radial(f: RadialDensity, w, rel_tol: float) -> float:
             last[:] = s, v
         return v
 
-    total = _quad(h, _S_MIN, _S_MAX, rel_tol)
-    end = h(_S_MAX)
-    if end != 0.0:
-        ratio = h(_S_MAX - 1.0) / end
-        if ratio <= 1.0:
-            raise DivergenceError("radial weight does not decay at the cut", partial=total)
-        total += end / math.log(ratio)
-    elif abs(last[1]) > rel_tol * abs(total):
+    total = _quad(h, _S_MIN, _S_MAX)
+    upper = _remainder(h, _S_MAX, -1.0, total)
+    if upper == 0.0 and abs(last[1]) > _REL_TOL * abs(total):
         raise DivergenceError(
             f"radial weight underflows to 0 past log r = {last[0]:.4g}, where it is "
             f"{last[1]:.3g}", partial=total)
-    return total
+    return total + upper + _remainder(h, _S_MIN, 1.0, total)
 
 
 def _finite(value: float, positive: bool = False) -> float:
@@ -217,21 +240,21 @@ def _power_weight(f: RadialDensity, p: float, q: float):
     return w
 
 
-def quad_Mq(f: RadialDensity, q: float, *, rel_tol: float = 1e-8) -> float:
+def quad_Mq(f: RadialDensity, q: float) -> float:
     """Information generating functional M_q[f] = int f^q over R^n."""
     if q < 0:
         raise DomainError(f"quad_Mq requires q >= 0, got {q}")
-    return _finite(_integrate_radial(f, _power_weight(f, 0.0, q), rel_tol), positive=True)
+    return _finite(_integrate_radial(f, _power_weight(f, 0.0, q)), positive=True)
 
 
-def quad_moment(f: RadialDensity, alpha: float, *, rel_tol: float = 1e-8) -> float:
+def quad_moment(f: RadialDensity, alpha: float) -> float:
     """Elliptic moment m_alpha[f] = int |x|^alpha f over R^n."""
     if alpha <= 0:
         raise DomainError(f"quad_moment requires alpha > 0, got {alpha}")
-    return _finite(_integrate_radial(f, _power_weight(f, alpha, 1.0), rel_tol), positive=True)
+    return _finite(_integrate_radial(f, _power_weight(f, alpha, 1.0)), positive=True)
 
 
-def quad_shannon(f: RadialDensity, *, rel_tol: float = 1e-8) -> float:
+def quad_shannon(f: RadialDensity) -> float:
     """Shannon entropy -int f log f over R^n."""
     n = f.dim
     surface = unit_sphere_area(n)
@@ -243,24 +266,17 @@ def quad_shannon(f: RadialDensity, *, rel_tol: float = 1e-8) -> float:
         log_f = math.log(fv)
         return -surface * log_f * math.exp(n * log_r + log_f)
 
-    return _finite(_integrate_radial(f, w, rel_tol))
+    return _finite(_integrate_radial(f, w))
 
 
-def quad_fisher(
-    f: RadialDensity,
-    beta: float,
-    q: float,
-    *,
-    rel_tol: float = 1e-8,
-    derivative: Callable[[float], float] | None = None,
-) -> float:
+def quad_fisher(f: RadialDensity, beta: float, q: float) -> float:
     """Generalized Fisher information of order (beta, q),
 
         I_bq[f] = n * omega_n * int r^{n-1} f^{beta(q-1)+1} |f'/f|^beta dr.
 
-    ``derivative`` overrides the profile's own derivative (used to compare the
-    analytic and finite-difference routes). Profiles flagged non-differentiable
-    are refused: their Fisher information is infinite.
+    A profile without a derivative is differentiated by finite differences.
+    Profiles flagged non-differentiable are refused: their Fisher information
+    is infinite.
     """
     if beta <= 1:
         raise DomainError(f"quad_fisher requires beta > 1, got {beta}")
@@ -268,7 +284,7 @@ def quad_fisher(
         raise DomainError(f"{f.descriptor}: {why}")
     n = f.dim
     surface = unit_sphere_area(n)
-    dprof = derivative or f.derivative or _fd_derivative(f.profile)
+    dprof = f.derivative or _fd_derivative(f.profile)
     w_exp = beta * (q - 1.0) + 1.0
 
     def w(r: float, log_r: float) -> float:
@@ -289,41 +305,21 @@ def quad_fisher(
             n * log_r + (w_exp - beta) * math.log(fv) + beta * math.log(abs(dv))
         )
 
-    return _finite(_integrate_radial(f, w, rel_tol), positive=True)
+    return _finite(_integrate_radial(f, w), positive=True)
 
 
-def measure_all(
-    f: RadialDensity,
-    alpha: float,
-    q: float,
-    *,
-    rel_tol: float = 1e-8,
-) -> MeasureSet:
-    """All six measures of one density by quadrature, bundled consistently."""
+def measure_all(f: RadialDensity, alpha: float, q: float) -> MeasureSet:
+    """All six measures of one density by quadrature, bundled consistently.
+
+    H_q is the Shannon integral at q = 1 and log(M_q)/(1-q) elsewhere.
+    """
     if why := validity.conjugate(f.dim, alpha, q):
         raise DomainError(f"measure_all {why}")
     beta = alpha / (alpha - 1.0)
-    Mq = quad_Mq(f, q, rel_tol=rel_tol)
-    if validity.exponential_branch(q):
-        Hq = quad_shannon(f, rel_tol=rel_tol)
-        Sq = Hq
-        Nq = math.exp(Hq)
-    else:
-        Hq = math.log(Mq) / (1.0 - q)
-        Sq = (1.0 - Mq) / (q - 1.0)
-        Nq = Mq ** (1.0 / (1.0 - q))
-    m_alpha = quad_moment(f, alpha, rel_tol=rel_tol)
-    I_bq = quad_fisher(f, beta, q, rel_tol=rel_tol)
-    return MeasureSet(
-        Mq=Mq,
-        Hq=Hq,
-        Sq=Sq,
-        Nq=Nq,
-        m_alpha=m_alpha,
-        I_bq=I_bq,
-        method=dict.fromkeys(MEASURE_KEYS, QUADRATURE),
-        params_echo=(f.dim, alpha, beta, q),
-    )
+    Mq = quad_Mq(f, q)
+    Hq = quad_shannon(f) if validity.exponential_branch(q) else math.log(Mq) / (1.0 - q)
+    return _from_renyi(Mq, Hq, quad_moment(f, alpha), quad_fisher(f, beta, q), QUADRATURE,
+                       (f.dim, alpha, beta, q))
 
 
 def gaussian_mixture(dim: int, components, descriptor: str | None = None) -> RadialDensity:

@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _special
 
 from . import validity
 from .errors import DivergenceError, DomainError
-from .measures import CLOSED_FORM, MEASURE_KEYS, MeasureSet, RadialDensity
+from .measures import CLOSED_FORM, MeasureSet, RadialDensity, _from_renyi
 from .special import beta_fn, log_gamma, unit_sphere_area
 from .validity import BRANCH_TOL
 
@@ -168,7 +169,7 @@ def _profile_pair(params: QGaussianParams):
     """
     Z = partition_fn(params)
     alpha, gamma = params.alpha, params.gamma
-    s = 0.0 if params.exponential_branch else params.q - 1.0
+    s = _branch_s(params)
 
     def profile(r):
         xp = np if isinstance(r, np.ndarray) else math
@@ -273,20 +274,22 @@ def renyi_entropy(params: QGaussianParams) -> float:
 
 
 def closed_Mq(params: QGaussianParams) -> float:
-    """Information generating functional M_q = int G^q = mu(0, q, q-1)/Z^q."""
-    if params.exponential_branch:
-        _require_mq_finite(params, "M_q")
-        return 1.0
-    return math.exp((1.0 - params.q) * renyi_entropy(params))
+    """Information generating functional M_q = int G^q = mu(0, q, q-1)/Z^q.
+
+    Taken as exp((1-q) H_q), with q - 1 read as 0 on the exponential branch,
+    where M_1 = 1.
+    """
+    return math.exp(-_branch_s(params) * renyi_entropy(params))
 
 
 def tsallis_entropy(params: QGaussianParams) -> float:
-    """Tsallis entropy (1 - M_q)/(q - 1); its q -> 1 limit is Shannon entropy."""
-    if params.exponential_branch:
-        return renyi_entropy(params)
-    s = params.q - 1.0
-    # (1 - M_q)/(q-1) = -expm1((1-q) H)/(q-1), exact and continuous through q = 1
-    return -math.expm1(-s * renyi_entropy(params)) / s
+    """Tsallis entropy (1 - M_q)/(q - 1); its q -> 1 limit is Shannon entropy.
+
+    Taken as H_q exprel((1-q) H_q), with q - 1 read as 0 on the exponential
+    branch: the same algebra as every MeasureSet, continuous through q = 1.
+    """
+    hq = renyi_entropy(params)
+    return hq * float(_special.exprel(-_branch_s(params) * hq))
 
 
 def entropy_power(params: QGaussianParams) -> float:
@@ -322,57 +325,29 @@ def closed_fisher(params: QGaussianParams) -> float:
 def closed_measures(params: QGaussianParams) -> MeasureSet:
     """All six closed-form measures bundled as a MeasureSet."""
     beta = params.beta
-    Mq = closed_Mq(params)
-    Hq = renyi_entropy(params)
-    Sq = tsallis_entropy(params)
-    Nq = entropy_power(params)
-    return MeasureSet(
-        Mq=Mq,
-        Hq=Hq,
-        Sq=Sq,
-        Nq=Nq,
-        m_alpha=closed_moment_alpha(params),
-        I_bq=closed_fisher(params),
-        method=dict.fromkeys(MEASURE_KEYS, CLOSED_FORM),
-        params_echo=(params.n, params.alpha, beta, params.q),
-    )
+    return _from_renyi(closed_Mq(params), renyi_entropy(params), closed_moment_alpha(params),
+                       closed_fisher(params), CLOSED_FORM, (params.n, params.alpha, beta, params.q))
 
 
 def rescale(params: QGaussianParams, gamma_new: float) -> MeasureSet:
     """Measures at a new scale obtained from the gamma = 1 member by power laws:
 
         M_q scales as gamma^((n/alpha)(q-1)),
+        H_q shifts by -(n/alpha) log gamma,
         m_alpha scales as gamma^(-1),
         I_bq scales as gamma^((beta/alpha) * lambda),
 
-    with the entropies and entropy power carried along consistently. Matching
-    this against direct evaluation at gamma_new is the scaling-identity check.
+    with q - 1 read as 0 on the exponential branch; S_q and N_q follow from
+    H_q as in every MeasureSet. Matching this against direct evaluation at
+    gamma_new is the scaling-identity check.
     """
     if not (math.isfinite(gamma_new) and gamma_new > 0):
         raise DomainError(f"gamma_new must be finite and > 0, got {gamma_new!r}")
     n, alpha, q = params.n, params.alpha, params.q
     unit = QGaussianParams(n=n, alpha=alpha, q=q, gamma=1.0)
-    beta = unit.beta
-    t = float(gamma_new)
-    m_alpha = closed_moment_alpha(unit) / t
-    I_bq = closed_fisher(unit) * t ** ((beta / alpha) * unit.lam)
-    if params.exponential_branch:
-        Mq = 1.0
-        Hq = renyi_entropy(unit) - (n / alpha) * math.log(t)
-        Sq = Hq
-        Nq = math.exp(Hq)
-    else:
-        Mq = closed_Mq(unit) * t ** ((n / alpha) * (q - 1.0))
-        Hq = math.log(Mq) / (1.0 - q)
-        Sq = (1.0 - Mq) / (q - 1.0)
-        Nq = Mq ** (1.0 / (1.0 - q))
-    return MeasureSet(
-        Mq=Mq,
-        Hq=Hq,
-        Sq=Sq,
-        Nq=Nq,
-        m_alpha=m_alpha,
-        I_bq=I_bq,
-        method=dict.fromkeys(MEASURE_KEYS, CLOSED_FORM),
-        params_echo=(n, alpha, beta, q),
-    )
+    beta, a, t = unit.beta, n / alpha, float(gamma_new)
+    return _from_renyi(closed_Mq(unit) * t ** (a * _branch_s(unit)),
+                       renyi_entropy(unit) - a * math.log(t),
+                       closed_moment_alpha(unit) / t,
+                       closed_fisher(unit) * t ** ((beta / alpha) * unit.lam),
+                       CLOSED_FORM, (n, alpha, beta, q))

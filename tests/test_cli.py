@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -217,6 +218,14 @@ class TestQuadratureReach:
         code, out, _ = run([*argv, "--out", str(path)], capsys)
         assert (code, out) == (3, "")
         assert not path.exists()
+
+    def test_collapsing_solve_emits_no_numpy_warning(self, capsys):
+        # its overflow warnings escaped cli.main, a traceback under -W error
+        argv = ["minimize", "--n", "1", "--q", "1", "--moment", "1e-300", "--nodes", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(argv, capsys)
+        assert (code, out) == (3, "")
 
     def test_all_zero_table_is_invalid_input(self, tmp_path, capsys):
         table = tmp_path / "zero.csv"

@@ -1,6 +1,7 @@
 """Quadrature estimators on arbitrary radial densities."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestLogRadiusIntegral:
         # the component of variance 0.0155 was lost next to the one of 9581: mass 0.186
         f = gaussian_mixture(1, [(0.0924, 9581.2), (0.4053, 0.01548)])
         assert quad_Mq(f, 1.0) == pytest.approx(1.0, abs=1e-8)
+
+    def test_random_mixtures_keep_their_mass_or_raise(self):
+        # a component too narrow to lie inside the window lost its mass below
+        # log r = -40: 27 of these mixtures were silently wrong, by up to 1.6e-3.
+        # The bound is 10 times the quadrature tolerance: the window's own error
+        # estimate under-reports by up to 4 times on a bulk just below log r = 20
+        rng = random.Random(2012)
+        wrong, raised = [], 0
+        for _ in range(300):
+            n = rng.choice((1, 2, 3))
+            components = [(rng.uniform(0.1, 1.0), 10.0 ** rng.uniform(-30.0, 30.0))
+                          for _ in range(rng.randint(1, 3))]
+            try:
+                mass = quad_Mq(gaussian_mixture(n, components), 1.0)
+            except DivergenceError:
+                raised += 1
+                continue
+            if abs(mass - 1.0) > 1e-7:
+                wrong.append((n, components, mass))
+        assert not wrong
+        assert raised <= 10
 
     def test_very_wide_mixture(self):
         assert quad_Mq(gaussian_mixture(2, [(1.0, 1e15)]), 1.0) == pytest.approx(1.0, abs=1e-8)

@@ -1,5 +1,6 @@
 """Closed forms for the radial power-law family."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qginfo import validity
 from qginfo.errors import DivergenceError, DomainError
+from qginfo.measures import MEASURE_KEYS
 from qginfo.qgaussian import (
     BRANCH_TOL,
     QGaussianParams,
@@ -236,6 +239,28 @@ class TestClosedMeasures:
         p = QGaussianParams(n=1, alpha=2.0, q=2.0)
         assert tsallis_entropy(p) == pytest.approx((1.0 - 0.6) / 1.0, rel=1e-13)
 
+    def test_tsallis_and_mq_keep_their_branch_formulas(self):
+        # H exprel((1-q) H) and exp((1-q) H) with q - 1 read as 0 in the branch
+        # band, against the branch-wise formulas they replace
+        deltas = (0.0, 1e-13, 1e-11, 1e-8, 1e-5, 1e-3, 0.1, 0.5, 1.0)
+        checked = 0
+        for n, alpha, delta, sign, gamma in itertools.product(
+                (1, 2, 3), (1.5, 2.0, 3.0), deltas, (-1.0, 1.0), (0.3, 7.0)):
+            q = 1.0 + sign * delta
+            if validity.mq_finite(n, alpha, q):
+                continue
+            p = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma)
+            h = renyi_entropy(p)
+            if p.exponential_branch:
+                assert (tsallis_entropy(p), closed_Mq(p)) == (h, 1.0), q
+            else:
+                s = q - 1.0
+                for got, ref in ((tsallis_entropy(p), -math.expm1(-s * h) / s),
+                                 (closed_Mq(p), math.exp((1.0 - q) * h))):
+                    assert abs(got - ref) <= 2.0 * math.ulp(ref), (n, alpha, q, gamma)
+            checked += 1
+        assert checked == 296
+
     def test_entropy_power_nonincreasing_in_q(self):
         values = [
             entropy_power(QGaussianParams(n=2, alpha=2.0, q=q))
@@ -252,6 +277,19 @@ class TestScaling:
         direct = closed_measures(QGaussianParams(n=2, alpha=2.0, q=1.2, gamma=gamma))
         for key in ("Mq", "Hq", "Sq", "Nq", "m_alpha", "I_bq"):
             assert getattr(scaled, key) == pytest.approx(getattr(direct, key), rel=1e-12), key
+
+    def test_rescale_matches_direct_next_to_q_one(self):
+        # H_q was re-derived as log(M_q)/(1-q), which multiplies the rounding
+        # error of M_q by 1/|1-q|: H_q and S_q were off by up to 1.6e-4
+        deltas = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
+        for n, alpha, delta, sign, gamma in itertools.product(
+                (1, 2, 3), (1.5, 2.0, 3.0), deltas, (-1.0, 1.0), (0.3, 7.0)):
+            q = 1.0 + sign * delta
+            scaled = rescale(QGaussianParams(n=n, alpha=alpha, q=q), gamma)
+            direct = closed_measures(QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma))
+            for key in MEASURE_KEYS:
+                assert getattr(scaled, key) == pytest.approx(getattr(direct, key), rel=1e-12), \
+                    (n, alpha, q, gamma, key)
 
     @given(st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=60, deadline=None)
