@@ -17,10 +17,11 @@ every Cramer-Rao evaluation; at n = 1 this is the literal term-by-term product
 of the other two comparisons.
 
 The four comparisons are rows of one table, each naming the validity bounds it
-needs (see ``qginfo.validity``), whether it needs a weak derivative, its two
-sides and the measures they read. ``check_all`` tests every requested row's
-applicability before computing anything, then evaluates the rows against one
-measure backend, so each measure is computed at most once per call.
+needs (see ``qginfo.validity``), its two sides and the measures they read; a
+row that reads I_bq needs a weak derivative of the density. ``check_all``
+tests every requested row's applicability before computing anything, then
+evaluates the rows against one measure backend, so each measure is computed
+at most once per call.
 
 Measurement routing: a density tagged as a family member with matching
 (alpha, q) is measured by closed forms; anything else goes through quadrature.
@@ -146,9 +147,10 @@ class _MeasureBackend:
 
     def Nq(self) -> float:
         def quad(f) -> float:
+            # exp(H_q), with H_q taken as measure_all takes it
             if validity.exponential_branch(self.q):
                 return math.exp(quad_shannon(f))
-            return self.Mq() ** (1.0 / (1.0 - self.q))
+            return math.exp(math.log(self.Mq()) / (1.0 - self.q))
 
         return self._get("Nq", entropy_power, quad)
 
@@ -180,27 +182,26 @@ class _Inequality:
     """One row of the table: lhs >= rhs wherever every bound holds."""
 
     bounds: tuple  # validity bounds on (n, alpha, q), tested in order
-    derivative: bool  # needs a weak derivative of the density
     lhs: Callable  # measured -> value
     rhs: Callable  # (measured, extremal) -> value
-    uses: tuple  # measures of the density the two sides read
+    uses: tuple  # measures of the density the two sides read; I_bq needs a weak derivative
 
 
 _TABLE = {
     "fisher-moment-entropy": _Inequality(
-        (validity.conjugate, validity.positive_q, validity.mq_finite), True,
+        (validity.conjugate, validity.positive_q, validity.mq_finite),
         _fisher_moment, lambda m, extremal: (m.n / m.q) * m.Mq(), ("I_bq", "m_alpha", "Mq"),
     ),
     "moment-entropy": _Inequality(
-        (validity.positive_alpha, validity.mq_finite), False,
+        (validity.positive_alpha, validity.mq_finite),
         _moment_entropy, lambda m, extremal: _moment_entropy(extremal), ("m_alpha", "Nq"),
     ),
     "stam": _Inequality(
-        (validity.conjugate, validity.stam), True,
+        (validity.conjugate, validity.stam),
         _stam, lambda m, extremal: _stam(extremal), ("Nq", "I_bq"),
     ),
     "cramer-rao": _Inequality(
-        (validity.conjugate, validity.stam), True,
+        (validity.conjugate, validity.stam),
         _cramer_rao, lambda m, extremal: _cramer_rao(extremal), ("I_bq", "m_alpha", "Nq"),
     ),
 }
@@ -243,8 +244,8 @@ def _report(name, lhs, rhs, measured, rel_tol, eq_tol, used) -> InequalityReport
 def inapplicable(f: RadialDensity, alpha: float, q: float, names=INEQUALITY_NAMES) -> dict:
     """Why each named check does not apply to (f, alpha, q): {name: reason}, in request order.
 
-    A check applies when every validity bound of its row holds and, if it needs
-    a weak derivative, the density is differentiable.
+    A check applies when every validity bound of its row holds and, if it reads
+    I_bq, which needs a weak derivative, the density is differentiable.
     """
     reasons = {}
     for name in names:
@@ -252,7 +253,7 @@ def inapplicable(f: RadialDensity, alpha: float, q: float, names=INEQUALITY_NAME
         why = next(filter(None, (bound(f.dim, alpha, q) for bound in row.bounds)), None)
         if why:
             reasons[name] = f"{name} {why}"
-        elif row.derivative and (why := validity.differentiable(f.differentiable)):
+        elif "I_bq" in row.uses and (why := validity.differentiable(f.differentiable)):
             reasons[name] = f"{f.descriptor}: {why}"
     return reasons
 

@@ -226,20 +226,37 @@ def density(params: QGaussianParams, x) -> float:
 def radial_density(params: QGaussianParams) -> RadialDensity:
     """Package the family member as a RadialDensity for the quadrature estimators.
 
-    The partition function is evaluated once; the returned profile closures
-    are cheap per call. The instance is tagged with its parameters so measure
+    The partition function is evaluated here, not per call (a second time for
+    the support hint when q > 1); the returned profile closures are cheap. The instance is tagged with its parameters so measure
     consumers can route to closed forms when they recognize the family.
+
+    For q > 1 the support hint is the radius beyond which the float profile
+    is exactly 0, which next to q = 1 lies far inside the support ball: at
+    n = 1, alpha = 1.5, q = 1 + 1e-7 it is about 82 where R is 4.6e4, and
+    Gauss-Kronrod on [0, R] would miss the bulk. With s = q - 1 and
+    t = gamma r^alpha, the profile exp(log1p(-s t)/s)/Z is below half the
+    smallest subnormal 5e-324 once log1p(-s t)/s < L = log(5e-324) + log Z - 2,
+    that is beyond r = R (-expm1(s L))^(1/alpha); log Z is taken apart, since
+    5e-324 Z underflows at large Z. The margin e^-2 covers the rounding of
+    exp's subnormal result before the division by Z (e^-1 does not at
+    Z = 1.8). Where that radius is within 1e-12 of R, far above its rounding
+    error, the hint is R itself, so members away from q = 1 keep their bits.
     """
     profile, derivative = _profile_pair(params)
     label = (
         f"qgaussian:n={params.n},alpha={params.alpha:g},"
         f"q={params.q:g},gamma={params.gamma:g}"
     )
+    hint = params.support_radius
+    if math.isfinite(hint):
+        L = math.log(5e-324) + math.log(partition_fn(params)) - 2.0
+        zero = hint * (-math.expm1((params.q - 1.0) * L)) ** (1.0 / params.alpha)
+        hint = zero if zero < hint * (1.0 - 1e-12) else hint
     return RadialDensity(
         dim=params.n,
         profile=profile,
         derivative=derivative,
-        support_hint=params.support_radius,
+        support_hint=hint,
         descriptor=label,
         family=params,
     )

@@ -2,12 +2,13 @@
 
 A draw factorizes as x = r * u with u uniform on the unit sphere and r from
 the radial law implied by the polar reduction dx = r^{n-1} dr du. Writing
-a = n/alpha, the radial law has three branches:
+a = n/alpha, t = sigma r^alpha follows one of three laws, the table ``_radial_law``:
 
-    q > 1:  t = gamma (q-1) r^alpha  ~  Beta(a, 1/(q-1) + 1)
-    q = 1:  gamma r^alpha            ~  Gamma(a)
-    q < 1:  t = gamma (1-q) r^alpha  ~  BetaPrime(a, 1/(1-q) - a)
+    q > 1:  sigma = gamma (q-1),  t ~ Beta(a, 1/(q-1) + 1)
+    q = 1:  sigma = gamma,        t ~ Gamma(a)
+    q < 1:  sigma = gamma (1-q),  t ~ BetaPrime(a, 1/(1-q) - a)
 
+Each function here converts between r and t once, outside the law branches.
 These laws were validated against direct quadrature of the radial density
 (Kolmogorov-Smirnov distance well below 3/sqrt(count)) before being frozen
 here. Radii are drawn from numpy's exact generators on one PCG64 stream:
@@ -62,13 +63,14 @@ class SampleBatch:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _law_parameters(params: QGaussianParams):
+def _radial_law(params: QGaussianParams):
+    """(law, a, b, sigma) of t = sigma r^alpha, from the module's table; b is None for Gamma."""
     a = params.n / params.alpha
     if params.exponential_branch:
-        return "gamma", a, None
+        return "gamma", a, None, params.gamma
     if params.q > 1.0:
-        return "beta", a, 1.0 / (params.q - 1.0) + 1.0
-    return "betaprime", a, 1.0 / (1.0 - params.q) - a
+        return "beta", a, 1.0 / (params.q - 1.0) + 1.0, params.gamma * (params.q - 1.0)
+    return "betaprime", a, 1.0 / (1.0 - params.q) - a, params.gamma * (1.0 - params.q)
 
 
 def radial_quantile(params: QGaussianParams, u):
@@ -76,21 +78,20 @@ def radial_quantile(params: QGaussianParams, u):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise DomainError("quantile level must lie in [0, 1]")
-    law, a, b = _law_parameters(params)
-    alpha, gamma, q = params.alpha, params.gamma, params.q
+    law, a, b, sigma = _radial_law(params)
     if law == "gamma":
         t = _special.gammaincinv(a, u)
-        r = (t / gamma) ** (1.0 / alpha)
     elif law == "beta":
         t = _special.betaincinv(a, b, u)
-        r = (t / (gamma * (q - 1.0))) ** (1.0 / alpha)
     else:
         # above the median invert the complement y = 1 - x: x itself rounds
-        # to 1 in the tail, where t = x/(1-x) would become infinite
+        # to 1 in the tail, where t = x/(1-x) would become infinite; y = 0
+        # at u = 1, where t is inf
         x = _special.betaincinv(a, b, np.minimum(u, 0.5))
         y = _special.betaincinv(b, a, 1.0 - np.maximum(u, 0.5))
-        t = np.where(u > 0.5, (1.0 - y) / y, x / (1.0 - x))
-        r = (t / (gamma * (1.0 - q))) ** (1.0 / alpha)
+        with np.errstate(divide="ignore"):
+            t = np.where(u > 0.5, (1.0 - y) / y, x / (1.0 - x))
+    r = (t / sigma) ** (1.0 / params.alpha)
     return r if r.ndim else float(r)
 
 
@@ -99,16 +100,16 @@ def radial_cdf(params: QGaussianParams, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
-    law, a, b = _law_parameters(params)
-    alpha, gamma, q = params.alpha, params.gamma, params.q
+    law, a, b, sigma = _radial_law(params)
+    t = sigma * r**params.alpha
     if law == "gamma":
-        out = _special.gammainc(a, gamma * r**alpha)
+        out = _special.gammainc(a, t)
     elif law == "beta":
-        t = np.minimum(gamma * (q - 1.0) * r**alpha, 1.0)
-        out = _special.betainc(a, b, t)
+        out = _special.betainc(a, b, np.minimum(t, 1.0))
     else:
-        t = gamma * (1.0 - q) * r**alpha
-        out = _special.betainc(a, b, t / (1.0 + t))
+        # t/(1+t) is inf/inf at r = inf, where the mass below is 1
+        out = _special.betainc(a, b, np.divide(t, 1.0 + t, out=np.ones_like(t),
+                                               where=t != math.inf))
     return out if out.ndim else float(out)
 
 
@@ -116,15 +117,13 @@ def radial_tail_mass(params: QGaussianParams, r: float) -> float:
     """Mass beyond radius r, computed stably even when it is tiny."""
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    law, a, b = _law_parameters(params)
-    alpha, gamma, q = params.alpha, params.gamma, params.q
+    law, a, b, sigma = _radial_law(params)
+    t = sigma * r**params.alpha
     if law == "gamma":
-        return float(_special.gammaincc(a, gamma * r**alpha))
+        return float(_special.gammaincc(a, t))
     if law == "beta":
-        t = min(gamma * (q - 1.0) * r**alpha, 1.0)
         # complement identity keeps precision when the tail is tiny
-        return float(_special.betainc(b, a, 1.0 - t))
-    t = gamma * (1.0 - q) * r**alpha
+        return float(_special.betainc(b, a, 1.0 - min(t, 1.0)))
     return float(_special.betainc(b, a, 1.0 / (1.0 + t)))
 
 
@@ -146,18 +145,17 @@ def sample(params: QGaussianParams, count: int, seed: int) -> SampleBatch:
         rng = np.random.Generator(np.random.PCG64(seed))
     except (ValueError, TypeError) as exc:
         raise DomainError(f"invalid seed {seed!r}: {exc}") from exc
-    law, a, b = _law_parameters(params)
+    law, a, b, sigma = _radial_law(params)
     # a gamma variate of small shape can underflow to 0 and a radius can
     # overflow; such batches are rejected below, so numpy need not warn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if law == "gamma":
-            t, scale = rng.standard_gamma(a, count), params.gamma
+            t = rng.standard_gamma(a, count)
         elif law == "beta":
-            t, scale = rng.beta(a, b, count), params.gamma * (params.q - 1.0)
+            t = rng.beta(a, b, count)
         else:
             t = rng.standard_gamma(a, count) / rng.standard_gamma(b, count)
-            scale = params.gamma * (1.0 - params.q)
-        radii = (t / scale) ** (1.0 / params.alpha)
+        radii = (t / sigma) ** (1.0 / params.alpha)
     if not np.all(np.isfinite(radii)):
         bad = np.count_nonzero(~np.isfinite(radii))
         raise DivergenceError(f"{bad} of {count} radii are not finite in double precision")
@@ -167,13 +165,9 @@ def sample(params: QGaussianParams, count: int, seed: int) -> SampleBatch:
     if np.any(degenerate):
         direction[degenerate, 0] = 1.0
         norms[degenerate] = 1.0
-    points = radii[:, None] * (direction / norms[:, None])
-    return SampleBatch(
-        params_echo=params,
-        seed=int(seed),
-        points=np.ascontiguousarray(points),
-        count=count,
-    )
+    direction /= norms[:, None]
+    direction *= radii[:, None]
+    return SampleBatch(params_echo=params, seed=int(seed), points=direction, count=count)
 
 
 def empirical_moment(batch: SampleBatch, alpha: float) -> tuple[float, float]:

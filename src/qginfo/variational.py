@@ -115,7 +115,7 @@ class VariationalProblem:
 
     @property
     def k(self) -> float:
-        return self.beta / (self.beta * (self.q - 1.0) + 1.0)
+        return self.extremal_params.k
 
     @property
     def extremal_params(self) -> QGaussianParams:
@@ -147,10 +147,11 @@ def make_problem(n: int, alpha: float, q: float, m_target: float, *,
                  num_nodes: int = 1601) -> VariationalProblem:
     """Set up the discretized problem for a prescribed moment m_target.
 
-    The truncation radius is 1.05 times the support radius when the support is
-    compact, else large enough that the extremal member's tail mass is below
-    1e-10, so the zero boundary value is exact to solver tolerance. The grid
-    has between 50 and MAX_NODES nodes.
+    m_alpha scales as 1/gamma, so the extremal scale gamma* is the gamma = 1
+    member's m_alpha over m_target. The truncation radius is 1.05 times the
+    support radius when the support is compact, else large enough that the
+    extremal member's tail mass is below 1e-10, so the zero boundary value is
+    exact to solver tolerance. The grid has between 50 and MAX_NODES nodes.
     """
     if not (math.isfinite(m_target) and m_target > 0):
         raise DomainError(f"m_target must be finite and positive, got {m_target!r}")
@@ -158,13 +159,12 @@ def make_problem(n: int, alpha: float, q: float, m_target: float, *,
         raise DomainError("need at least 50 radial nodes")
     if num_nodes > MAX_NODES:
         raise DomainError(f"at most {MAX_NODES} radial nodes, got {num_nodes}")
-    QGaussianParams(n=n, alpha=alpha, q=q)  # n, alpha and q must be valid before the bounds
+    unit = QGaussianParams(n=n, alpha=alpha, q=q)  # n, alpha, q are checked before the bounds
     for subject, bound in (("moment constraint unreachable:", validity.mq_finite),
                            ("the Dirichlet reformulation needs k > 0:", validity.k_positive)):
         if why := bound(n, alpha, q):
             raise DomainError(f"{subject} {why}")
-    scale = 1.0 + (q - 1.0) * (n + alpha) / alpha
-    gamma_star = (n / alpha) / (m_target * scale)
+    gamma_star = closed_moment_alpha(unit) / m_target
     params = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma_star)
     beta = params.beta
     if math.isfinite(params.support_radius):
@@ -503,20 +503,18 @@ def analytic_multipliers(params: QGaussianParams) -> tuple:
     """Closed-form (a, b, A) for which u = G^{1/k} is stationary.
 
     A = (beta/k)^beta (gamma/(beta-1))^{beta-1} Z^{(k-beta)/k}, a = -A n,
-    b = A (1 + n(q-1)) gamma. Requires k > 0.
+    b = A lam gamma with lam = n(q-1) + 1. Requires k > 0.
     """
     if why := validity.k_positive(params.n, params.alpha, params.q):
         raise DomainError(f"analytic multipliers {why}")
-    beta = params.beta
-    k = params.k
-    Z = partition_fn(params)
+    beta, k, Z = params.beta, params.k, partition_fn(params)
     A = (
         (beta / k) ** beta
         * (params.gamma / (beta - 1.0)) ** (beta - 1.0)
         * Z ** ((k - beta) / k)
     )
     a = -A * params.n
-    b = A * (1.0 + params.n * (params.q - 1.0)) * params.gamma
+    b = A * params.lam * params.gamma
     return a, b, A
 
 

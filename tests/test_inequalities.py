@@ -8,6 +8,7 @@ import pytest
 from qginfo.errors import DomainError
 from qginfo.inequalities import (
     INEQUALITY_NAMES,
+    _MeasureBackend,
     check_all,
     check_cramer_rao,
     check_fisher_moment_entropy,
@@ -15,7 +16,7 @@ from qginfo.inequalities import (
     check_stam,
     inapplicable,
 )
-from qginfo.measures import gaussian_mixture, truncated_exponential, uniform_ball
+from qginfo.measures import gaussian_mixture, measure_all, truncated_exponential, uniform_ball
 from qginfo.qgaussian import QGaussianParams, radial_density
 
 # frozen strictness ratios (independent high-precision quadrature), ordered
@@ -181,3 +182,13 @@ class TestReportShape:
     def test_gamma_echoed_for_family_members(self):
         report = check_stam(qg(2, 2.0, 1.2, 0.5), 2.0, 1.2)
         assert report.as_dict()["params"].get("gamma") == pytest.approx(0.5)
+
+
+class TestQuadratureBackend:
+    @pytest.mark.parametrize("q", [0.8, 1.0, 1.3])
+    def test_entropy_power_is_the_one_measure_all_reports(self, q):
+        # verify and measures read the same N_q bits; the backend took
+        # M_q^(1/(1-q)) where measure_all takes exp(log(M_q)/(1-q)), and the
+        # two differed in the last bits at q = 0.8 and 1.3
+        f = gaussian_mixture(1, MIX_B)
+        assert _MeasureBackend.of(f, 2.0, q).Nq() == measure_all(f, 2.0, q).Nq

@@ -20,7 +20,13 @@ from qginfo.measures import (
     truncated_exponential,
     uniform_ball,
 )
-from qginfo.qgaussian import QGaussianParams, closed_measures, partition_fn, radial_density
+from qginfo.qgaussian import (
+    QGaussianParams,
+    closed_measures,
+    partition_fn,
+    radial_density,
+    radial_profile,
+)
 
 # frozen mixture references (independent high-precision quadrature):
 # 0.5 N(0,1) + 0.5 N(0,4) in one dimension
@@ -123,13 +129,30 @@ class TestLogRadiusIntegral:
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_next_to_q_one(self, n, alpha):
         # the profile kept 1/|q-1| times its rounding error: measure_all raised
-        # at q = 1 - 1e-11 on every pair
-        qs = [1.0 - 10.0**-k for k in (3, 5, 7, 9, 11)] + [1.0 + 1e-3, 1.0 + 1e-5]
+        # at q = 1 - 1e-11 on every pair; above 1, Gauss-Kronrod on the support
+        # ball [0, R] missed the bulk, and 18 of the 45 members raised
+        qs = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in (3, 5, 7, 9, 11)]
         for q in qs:
             p = QGaussianParams(n=n, alpha=alpha, q=q)
             got, ref = measure_all(radial_density(p), alpha, q), closed_measures(p)
             for key in ("Mq", "m_alpha", "I_bq"):
                 assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-6), (q, key)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_support_hint_is_where_the_profile_is_zero(self, alpha):
+        # next to q = 1 the profile is 0 far inside the support ball; away
+        # from it the hint is the ball's radius itself, bit for bit
+        for n in (1, 2, 3):
+            for q in [1.0 + 10.0**-k for k in (3, 5, 7, 9, 11)]:
+                p = QGaussianParams(n=n, alpha=alpha, q=q)
+                f = radial_density(p)
+                assert f.support_hint < p.support_radius, (n, q)
+                beyond = math.nextafter(f.support_hint, math.inf)
+                assert f.profile(beyond) == 0.0, (n, q)
+                assert radial_profile(p, np.array([beyond]))[0] == 0.0, (n, q)
+            for q in (1.05, 1.3, 2.0, 5.0):
+                p = QGaussianParams(n=n, alpha=alpha, q=q, gamma=0.7)
+                assert radial_density(p).support_hint == p.support_radius, (n, q)
 
     def test_power_tail_past_float_range_of_r_alpha(self):
         # r^alpha leaves float range inside the window; the profile takes log r there

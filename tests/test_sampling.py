@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from qginfo.errors import DivergenceError, DomainError
 from qginfo.qgaussian import QGaussianParams, closed_moment_alpha
@@ -80,6 +81,89 @@ class TestQuantile:
             radial_quantile(p, np.array([-0.1]))
         with pytest.raises(DomainError):
             radial_quantile(p, np.array([1.5]))
+
+
+def _reference_law(params):
+    # the per-law formulas in use before the law became one table with its
+    # scale sigma, kept here as the reference those functions must still equal
+    a = params.n / params.alpha
+    if params.exponential_branch:
+        return "gamma", a, None
+    if params.q > 1.0:
+        return "beta", a, 1.0 / (params.q - 1.0) + 1.0
+    return "betaprime", a, 1.0 / (1.0 - params.q) - a
+
+
+def _reference_quantile(params, u):
+    law, a, b = _reference_law(params)
+    alpha, gamma, q = params.alpha, params.gamma, params.q
+    if law == "gamma":
+        return (special.gammaincinv(a, u) / gamma) ** (1.0 / alpha)
+    if law == "beta":
+        return (special.betaincinv(a, b, u) / (gamma * (q - 1.0))) ** (1.0 / alpha)
+    x = special.betaincinv(a, b, np.minimum(u, 0.5))
+    y = special.betaincinv(b, a, 1.0 - np.maximum(u, 0.5))
+    t = np.where(u > 0.5, (1.0 - y) / y, x / (1.0 - x))
+    return (t / (gamma * (1.0 - q))) ** (1.0 / alpha)
+
+
+def _reference_cdf(params, r):
+    law, a, b = _reference_law(params)
+    alpha, gamma, q = params.alpha, params.gamma, params.q
+    if law == "gamma":
+        return special.gammainc(a, gamma * r**alpha)
+    if law == "beta":
+        return special.betainc(a, b, np.minimum(gamma * (q - 1.0) * r**alpha, 1.0))
+    t = gamma * (1.0 - q) * r**alpha
+    return special.betainc(a, b, t / (1.0 + t))
+
+
+def _reference_tail_mass(params, r):
+    law, a, b = _reference_law(params)
+    alpha, gamma, q = params.alpha, params.gamma, params.q
+    if law == "gamma":
+        return float(special.gammaincc(a, gamma * r**alpha))
+    if law == "beta":
+        return float(special.betainc(b, a, 1.0 - min(gamma * (q - 1.0) * r**alpha, 1.0)))
+    return float(special.betainc(b, a, 1.0 / (1.0 + gamma * (1.0 - q) * r**alpha)))
+
+
+LAW_GRID = [
+    QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma)
+    for n in (1, 2, 3)
+    for alpha in (1.0, 1.5, 2.0, 3.0)
+    for q in (0.8, 0.9, 0.97, 1.0, 1.0 + 1e-13, 1.05, 1.3, 2.0)
+    for gamma in (0.7, 3.0)
+]
+
+
+class TestRadialLaw:
+    """One table of (law, a, b, sigma) gives the values of the per-law formulas it replaced.
+
+    Batches are pinned byte for byte by TestSample.test_points_match_one_stream_inverted_whole.
+    """
+
+    def test_values_equal_the_per_law_formulas(self):
+        u = np.linspace(0.0, 1.0, 201)[:-1]
+        for params in LAW_GRID:
+            r = radial_quantile(params, u)
+            assert np.array_equal(r, _reference_quantile(params, u)), params
+            radii = np.concatenate((r, r * 1.5, [0.0, 1e-3, 0.5, 1.0, 4.0]))
+            assert np.array_equal(radial_cdf(params, radii), _reference_cdf(params, radii)), params
+            for x in radii:
+                assert radial_tail_mass(params, float(x)) == \
+                    _reference_tail_mass(params, float(x)), (params, x)
+
+    @pytest.mark.parametrize("q", [0.8, 1.0, 1.5])
+    def test_ends_of_every_law(self, q):
+        # the beta-prime law gave nan from t/(1+t) = inf/inf at r = inf, and
+        # divided by 0 at u = 1; the warning filter makes either one fail here
+        params = QGaussianParams(n=2, alpha=2.0, q=q)
+        assert radial_cdf(params, math.inf) == 1.0
+        assert radial_tail_mass(params, math.inf) == 0.0
+        assert radial_quantile(params, 1.0) == pytest.approx(params.support_radius, rel=1e-15)
+        assert radial_cdf(params, 0.0) == 0.0
+        assert radial_quantile(params, 0.0) == 0.0
 
 
 class TestSample:
