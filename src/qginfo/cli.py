@@ -452,11 +452,11 @@ def cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _add_param_flags(parser, gamma_default=1.0):
+def _add_param_flags(parser):
     parser.add_argument("--n", type=int, default=1, help="dimension")
     parser.add_argument("--alpha", type=float, default=2.0, help="moment/shape exponent")
     parser.add_argument("--q", type=float, default=1.0, help="tail index")
-    parser.add_argument("--gamma", type=float, default=gamma_default, help="scale parameter")
+    parser.add_argument("--gamma", type=float, default=1.0, help="scale parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:

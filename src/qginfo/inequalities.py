@@ -21,7 +21,8 @@ needs (see ``qginfo.validity``), its two sides and the measures they read; a
 row that reads I_bq needs a weak derivative of the density. ``check_all``
 tests every requested row's applicability before computing anything, then
 evaluates the rows against one measure backend, so each measure is computed
-at most once per call.
+at most once per call. The four single-row ``check_*`` wrappers call it at the
+default tolerances; ``check_all`` and the CLI's ``verify`` take others.
 
 Measurement routing: a density tagged as a family member with matching
 (alpha, q) is measured by closed forms; anything else goes through quadrature.
@@ -37,6 +38,7 @@ from .measures import (
     CLOSED_FORM,
     QUADRATURE,
     RadialDensity,
+    _quad_Hq,
     quad_Mq,
     quad_fisher,
     quad_moment,
@@ -146,13 +148,8 @@ class _MeasureBackend:
         return self._get("Mq", closed_Mq, lambda f: quad_Mq(f, self.q))
 
     def Nq(self) -> float:
-        def quad(f) -> float:
-            # exp(H_q), with H_q taken as measure_all takes it
-            if validity.exponential_branch(self.q):
-                return math.exp(quad_shannon(f))
-            return math.exp(math.log(self.Mq()) / (1.0 - self.q))
-
-        return self._get("Nq", entropy_power, quad)
+        return self._get("Nq", entropy_power,
+                         lambda f: math.exp(_quad_Hq(f, self.q, self.Mq, quad_shannon)))
 
     def m_alpha(self) -> float:
         return self._get("m_alpha", closed_moment_alpha, lambda f: quad_moment(f, self.alpha))
@@ -290,38 +287,30 @@ def check_all(
     return reports
 
 
-def check_fisher_moment_entropy(f: RadialDensity, alpha: float, q: float, *,
-                                rel_tol: float = DEFAULT_REL_TOL,
-                                eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
-    """I^{1/beta} m^{1/alpha} >= (n/q) M_q, both sides on the given density.
+def check_fisher_moment_entropy(f: RadialDensity, alpha: float, q: float) -> InequalityReport:
+    """I^{1/beta} m^{1/alpha} >= (n/q) M_q on the density, at the default tolerances.
 
     Assumes the boundary decay r^n f_r(r)^q -> 0, which is the caller's
     obligation; it holds for every density this package constructs.
     """
-    names = ("fisher-moment-entropy",)
-    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=names)[0]
+    return check_all(f, alpha, q, names=("fisher-moment-entropy",))[0]
 
 
-def check_moment_entropy(f: RadialDensity, alpha: float, q: float, *,
-                         rel_tol: float = DEFAULT_REL_TOL,
-                         eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
-    """m^{1/alpha}/N^{1/n} on the density >= the same on the extremal member."""
-    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("moment-entropy",))[0]
+def check_moment_entropy(f: RadialDensity, alpha: float, q: float) -> InequalityReport:
+    """m^{1/alpha}/N^{1/n} >= the same on the extremal member, at the default tolerances."""
+    return check_all(f, alpha, q, names=("moment-entropy",))[0]
 
 
-def check_stam(f: RadialDensity, alpha: float, q: float, *, rel_tol: float = DEFAULT_REL_TOL,
-               eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
-    """N * I^{n/(beta lam)} on the density >= the same on the extremal member."""
-    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("stam",))[0]
+def check_stam(f: RadialDensity, alpha: float, q: float) -> InequalityReport:
+    """N * I^{n/(beta lam)} >= the same on the extremal member, at the default tolerances."""
+    return check_all(f, alpha, q, names=("stam",))[0]
 
 
-def check_cramer_rao(f: RadialDensity, alpha: float, q: float, *,
-                     rel_tol: float = DEFAULT_REL_TOL,
-                     eq_tol: float = DEFAULT_EQ_TOL) -> InequalityReport:
-    """I^{1/(beta lam)} m^{1/alpha} on the density >= the same on the extremal member.
+def check_cramer_rao(f: RadialDensity, alpha: float, q: float) -> InequalityReport:
+    """I^{1/(beta lam)} m^{1/alpha} >= the same on the extremal member, at the default tolerances.
 
     Every call also recomputes the ratio as (moment-entropy ratio) times the
     n-th root of the (Stam ratio) from the same measure values and insists the
     two agree to 1e-9; the factorization is the proof structure of the bound.
     """
-    return check_all(f, alpha, q, rel_tol=rel_tol, eq_tol=eq_tol, names=("cramer-rao",))[0]
+    return check_all(f, alpha, q, names=("cramer-rao",))[0]

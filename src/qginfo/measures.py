@@ -134,8 +134,7 @@ def _from_renyi(Mq, Hq, m_alpha, I_bq, tag: str, params_echo: tuple) -> MeasureS
     H_q exprel((1-q) H_q) and exp(H_q), with q - 1 read as 0 on the exponential
     branch: continuous through q = 1, where S_q is H_q, the Shannon entropy.
     """
-    q = params_echo[3]
-    s = 0.0 if validity.exponential_branch(q) else q - 1.0
+    s = validity.tail_index(params_echo[3])
     return MeasureSet(Mq=Mq, Hq=Hq, Sq=Hq * float(_special.exprel(-s * Hq)), Nq=math.exp(Hq),
                       m_alpha=m_alpha, I_bq=I_bq, method=dict.fromkeys(MEASURE_KEYS, tag),
                       params_echo=params_echo)
@@ -308,18 +307,22 @@ def quad_fisher(f: RadialDensity, beta: float, q: float) -> float:
     return _finite(_integrate_radial(f, w), positive=True)
 
 
+def _quad_Hq(f: RadialDensity, q: float, Mq, shannon) -> float:
+    """H_q by quadrature: shannon(f) on the exponential branch, log(Mq())/(1-q) elsewhere."""
+    return shannon(f) if validity.exponential_branch(q) else math.log(Mq()) / (1.0 - q)
+
+
 def measure_all(f: RadialDensity, alpha: float, q: float) -> MeasureSet:
     """All six measures of one density by quadrature, bundled consistently.
 
-    H_q is the Shannon integral at q = 1 and log(M_q)/(1-q) elsewhere.
+    H_q follows ``_quad_Hq``, the rule the inequality checks read N_q = exp(H_q) from.
     """
     if why := validity.conjugate(f.dim, alpha, q):
         raise DomainError(f"measure_all {why}")
     beta = alpha / (alpha - 1.0)
     Mq = quad_Mq(f, q)
-    Hq = quad_shannon(f) if validity.exponential_branch(q) else math.log(Mq) / (1.0 - q)
-    return _from_renyi(Mq, Hq, quad_moment(f, alpha), quad_fisher(f, beta, q), QUADRATURE,
-                       (f.dim, alpha, beta, q))
+    return _from_renyi(Mq, _quad_Hq(f, q, lambda: Mq, quad_shannon), quad_moment(f, alpha),
+                       quad_fisher(f, beta, q), QUADRATURE, (f.dim, alpha, beta, q))
 
 
 def gaussian_mixture(dim: int, components, descriptor: str | None = None) -> RadialDensity:

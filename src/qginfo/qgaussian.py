@@ -150,13 +150,9 @@ def mu_pnu(params: QGaussianParams, p: float, nu: float, s: float) -> float:
     return prefactor * (-s) ** (-a) * beta_fn(a, -nu / s - a)
 
 
-def _branch_s(params: QGaussianParams) -> float:
-    return 0.0 if params.exponential_branch else params.q - 1.0
-
-
 def partition_fn(params: QGaussianParams) -> float:
     """Normalization constant Z = mu(0, 1, q-1) of the family member."""
-    return mu_pnu(params, 0.0, 1.0, _branch_s(params))
+    return mu_pnu(params, 0.0, 1.0, validity.tail_index(params.q))
 
 
 def _profile_pair(params: QGaussianParams):
@@ -169,7 +165,7 @@ def _profile_pair(params: QGaussianParams):
     """
     Z = partition_fn(params)
     alpha, gamma = params.alpha, params.gamma
-    s = _branch_s(params)
+    s = validity.tail_index(params.q)
 
     def profile(r):
         xp = np if isinstance(r, np.ndarray) else math
@@ -296,7 +292,7 @@ def closed_Mq(params: QGaussianParams) -> float:
     Taken as exp((1-q) H_q), with q - 1 read as 0 on the exponential branch,
     where M_1 = 1.
     """
-    return math.exp(-_branch_s(params) * renyi_entropy(params))
+    return math.exp(-validity.tail_index(params.q) * renyi_entropy(params))
 
 
 def tsallis_entropy(params: QGaussianParams) -> float:
@@ -306,7 +302,7 @@ def tsallis_entropy(params: QGaussianParams) -> float:
     branch: the same algebra as every MeasureSet, continuous through q = 1.
     """
     hq = renyi_entropy(params)
-    return hq * float(_special.exprel(-_branch_s(params) * hq))
+    return hq * float(_special.exprel(-validity.tail_index(params.q) * hq))
 
 
 def entropy_power(params: QGaussianParams) -> float:
@@ -333,7 +329,7 @@ def closed_fisher(params: QGaussianParams) -> float:
     """
     beta = params.beta
     _require_mq_finite(params, "I_bq")
-    s = _branch_s(params)
+    s = validity.tail_index(params.q)
     num = mu_pnu(params, params.alpha, 1.0, s)
     den = mu_pnu(params, 0.0, 1.0, s) ** (beta * (params.q - 1.0) + 1.0)
     return (params.alpha * params.gamma) ** beta * num / den
@@ -363,7 +359,7 @@ def rescale(params: QGaussianParams, gamma_new: float) -> MeasureSet:
     n, alpha, q = params.n, params.alpha, params.q
     unit = QGaussianParams(n=n, alpha=alpha, q=q, gamma=1.0)
     beta, a, t = unit.beta, n / alpha, float(gamma_new)
-    return _from_renyi(closed_Mq(unit) * t ** (a * _branch_s(unit)),
+    return _from_renyi(closed_Mq(unit) * t ** (a * validity.tail_index(q)),
                        renyi_entropy(unit) - a * math.log(t),
                        closed_moment_alpha(unit) / t,
                        closed_fisher(unit) * t ** ((beta / alpha) * unit.lam),

@@ -101,7 +101,8 @@ def radial_cdf(params: QGaussianParams, r):
     if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
     law, a, b, sigma = _radial_law(params)
-    t = sigma * r**params.alpha
+    with np.errstate(over="ignore"):  # past float range t is inf, where the mass below is 1
+        t = sigma * r**params.alpha
     if law == "gamma":
         out = _special.gammainc(a, t)
     elif law == "beta":
@@ -118,7 +119,10 @@ def radial_tail_mass(params: QGaussianParams, r: float) -> float:
     if r < 0:
         raise DomainError("radius must be nonnegative")
     law, a, b, sigma = _radial_law(params)
-    t = sigma * r**params.alpha
+    try:
+        t = sigma * r**params.alpha
+    except OverflowError:  # past float range, where the mass beyond is 0
+        t = math.inf
     if law == "gamma":
         return float(_special.gammaincc(a, t))
     if law == "beta":

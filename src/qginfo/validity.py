@@ -8,6 +8,7 @@ Each bound on (n, alpha, q) is one function here, named after what it guards:
     fisher_finite   conjugate and mq_finite (1-alpha < 0 then never binds)
     stam            q > max((n-1)/n, n/(n+alpha))
     k_positive      conjugate and q > 1 - 1/beta, so that k = beta/(beta(q-1)+1) > 0
+    tail_index      (not a bound) s = q - 1, or 0 where exponential_branch holds
 
 A bound returns None when it holds, else what it requires and what it got
 ("requires q > n/(n+alpha) = 0.5, got q = 0.4"); each caller prefixes its own
@@ -15,8 +16,8 @@ subject and raises its own exception type. The q = 1 branch is decided by the
 one predicate ``exponential_branch``.
 """
 
-__all__ = ["BRANCH_TOL", "exponential_branch", "existence", "mq_finite", "conjugate",
-           "fisher_finite", "stam", "k_positive", "positive_alpha", "positive_q",
+__all__ = ["BRANCH_TOL", "exponential_branch", "tail_index", "existence", "mq_finite",
+           "conjugate", "fisher_finite", "stam", "k_positive", "positive_alpha", "positive_q",
            "differentiable"]
 
 # |q - 1| below this selects the exponential branch
@@ -26,6 +27,11 @@ BRANCH_TOL = 1e-12
 def exponential_branch(q: float) -> bool:
     """Whether q selects the exponential (q = 1) branch: |q - 1| < BRANCH_TOL."""
     return abs(q - 1.0) < BRANCH_TOL
+
+
+def tail_index(q: float) -> float:
+    """The tail index s = q - 1, or 0.0 on the exponential branch."""
+    return 0.0 if exponential_branch(q) else q - 1.0
 
 
 def _q_above(expr: str, lo: float, q: float) -> str | None:

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -18,7 +20,7 @@ import qginfo.cli
 from qginfo import validity
 from qginfo.cli import FORK_MIN_COORDINATES, SAMPLE_BLOCK, main
 from qginfo.inequalities import INEQUALITY_NAMES
-from qginfo.qgaussian import QGaussianParams
+from qginfo.qgaussian import QGaussianParams, radial_profile
 from qginfo.sampling import sample
 
 
@@ -126,6 +128,16 @@ class TestMeasuresCommand:
         rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
         assert rows[0] == ["measure", "closed"]
         assert len(rows) == 7
+
+    def test_module_runs_as_a_program(self, capsys):
+        # python -m qginfo.cli goes through the module's own entry point
+        argv = ["measures", "--n", "2", "--q", "1.2"]
+        _, expected, _ = run(argv, capsys)
+        src = os.path.dirname(os.path.dirname(qginfo.cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "qginfo.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def _both_methods(argv, capsys) -> tuple:
@@ -327,6 +339,34 @@ class TestVerifyCommand:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n,q,radius", [(1, 1.5, None), (2, 1.0, 12.0), (3, 1.2, None)])
+    def test_tabulated_family_member_is_an_equality_case(self, n, q, radius, tmp_path, capsys):
+        # a 1500-row table of the alpha = 2 member, out to its support radius or
+        # to 12: every check reads it through the spline and its derivative
+        params = QGaussianParams(n=n, alpha=2.0, q=q)
+        radii = np.linspace(0.0, radius or params.support_radius, 1500)
+        table = tmp_path / "member.csv"
+        table.write_text("r,f\n" + "".join(f"{float(r)!r},{float(v)!r}\n" for r, v in zip(
+            radii, radial_profile(params, radii))), encoding="utf-8")
+        code, out, _ = run(["verify", "--all", "--n", str(n), "--alpha", "2", "--q", repr(q),
+                            "--density", f"profile:{table}"], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["name"] for r in reports] == list(INEQUALITY_NAMES)
+        for report in reports:
+            assert report["equality"] is True and abs(report["deficit"]) <= 1e-7, report
+            assert set(report["method_tags"].values()) == {"quadrature"}
+
+    def test_all_with_nothing_applicable_builds_no_extremal_member(self, capsys):
+        # q = 0.7 is below the existence bound (n-alpha)/n = 0.75, so the
+        # extremal member cannot be built; with no row left, none is needed
+        code, out, _ = run(["verify", "--all", "--n", "2", "--alpha", "0.5", "--q", "0.7",
+                            "--density", "mixture:1,0,1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reports"] == []
+        assert [s["name"] for s in payload["skipped"]] == list(INEQUALITY_NAMES)
 
     def test_profile_row_without_value_is_invalid_input(self, tmp_path, capsys):
         table = tmp_path / "short.csv"

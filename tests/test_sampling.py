@@ -165,6 +165,14 @@ class TestRadialLaw:
         assert radial_cdf(params, 0.0) == 0.0
         assert radial_quantile(params, 0.0) == 0.0
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 0.8])
+    def test_finite_radius_past_float_range(self, q):
+        # r^alpha = 1e400 is past float range: the tail's float power raises
+        # OverflowError and the CDF's numpy power warns unless both are handled
+        params = QGaussianParams(n=1, alpha=2.0, q=q)
+        assert radial_tail_mass(params, 1e200) == 0.0
+        assert radial_cdf(params, 1e200) == 1.0
+
 
 class TestSample:
     def test_byte_identical_reproducibility(self):

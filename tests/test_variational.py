@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qginfo import variational
 from qginfo.errors import ConvergenceError, DomainError
 from qginfo.qgaussian import QGaussianParams, closed_fisher, closed_moment_alpha
 from qginfo.variational import (
@@ -280,6 +281,20 @@ class TestSolverRecovery:
         assert solution.converged
         l2, _, _ = _recovery(problem, solution)
         assert l2 <= max_l2
+
+    def test_each_accepted_point_is_evaluated_once(self, monkeypatch):
+        # the line search keeps the AL evaluation of the point it accepts, so
+        # the energy is evaluated fewer than twice per Newton step
+        calls = []
+        energy = variational._Discretization.energy
+        monkeypatch.setattr(variational._Discretization, "energy",
+                            lambda self, u: calls.append(1) or energy(self, u))
+        steps = 0
+        for n, q, nodes in SOLVE_WORKLOAD_CASES:
+            for init in INITS:
+                problem = make_problem(n, 2.0, q, 1.0, num_nodes=nodes)
+                steps += solve(problem, init=init).iterations
+        assert len(calls) < 2 * steps, (len(calls), steps)
 
     def test_collapsed_profile_is_a_convergence_failure(self):
         # a heavy tail whose flat start leaves fewer than two independent
