@@ -2,9 +2,9 @@
 
 Closed-form Renyi/Tsallis entropies, elliptic moments, and generalized
 Fisher information for the radial power-law family, cross-checked against
-adaptive quadrature on arbitrary radial densities; sharp information
-inequalities with equality detection; exact inverse-CDF sampling; and a
-constrained variational solver that recovers the extremal profile.
+quadrature on arbitrary radial densities; sharp information inequalities
+with equality detection; exact inverse-CDF sampling; and a constrained
+variational solver that recovers the extremal profile.
 """
 
 from . import errors, inequalities, measures, qgaussian, sampling, special, variational

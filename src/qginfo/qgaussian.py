@@ -156,40 +156,48 @@ def partition_fn(params: QGaussianParams) -> float:
 
 
 def _profile_pair(params: QGaussianParams):
-    """The profile f_r and its derivative, each of a float (with math) or an array (numpy).
+    """The profile f_r and its derivative, each of a float or an array of radii.
 
     The bracket (1 - (q-1) t)^(1/(q-1)), t = gamma r^alpha, is taken as
-    exp(log1p(-(q-1) t)/(q-1)), accurate next to q = 1. Where t leaves float
-    range, the bracket is below any double unless q < 1, where it is
-    ((1-q) t)^(1/(q-1)), taken from log r.
+    exp(log1p(-(q-1) t)/(q-1)), accurate next to q = 1. Where t or (q-1) t
+    leaves float range, the bracket is below any double unless q < 1, where it
+    is ((1-q) t)^(1/(q-1)), taken from log r.
     """
     Z = partition_fn(params)
     alpha, gamma = params.alpha, params.gamma
     s = validity.tail_index(params.q)
 
-    def profile(r):
-        xp = np if isinstance(r, np.ndarray) else math
-        try:
-            t = gamma * r**alpha
-        except OverflowError:
-            return math.exp((math.log(-s * gamma) + alpha * math.log(r)) / s) / Z if s < 0 else 0.0
+    def far_profile(r):
+        return np.exp((math.log(-s * gamma) + alpha * np.log(r)) / s) / Z if s < 0 else 0.0 * r
+
+    def near_profile(r, t):
         if s == 0.0:
-            return xp.exp(-t) / Z
+            return np.exp(-t) / Z
         inside = s * t < 1.0  # outside a compact support log1p reads 0, and the result is zeroed
-        return xp.exp(xp.log1p(-s * t * inside) / s) * inside / Z
+        return np.exp(np.log1p(-s * t * inside) / s) * inside / Z
 
-    def derivative(r):
-        # -gamma alpha r^(alpha-1) f / (1 - (q-1) t); the base is replaced by 1
-        # outside a compact support, under f = 0, and far out it is -(q-1) t
-        f = profile(r)
-        try:
-            t, slope = gamma * r**alpha, -gamma * alpha * r ** (alpha - 1.0)
-        except OverflowError:
-            return alpha * f / (s * r) if f else 0.0
+    def far_derivative(r):
+        return alpha * far_profile(r) / (s * r) if s < 0 else 0.0 * r
+
+    def near_derivative(r, t):
+        # -gamma alpha r^(alpha-1) f / (1 - (q-1) t), the base 1 outside a compact support
         inside = s * t < 1.0
-        return slope * f / ((1.0 - s * t) * inside + (1.0 - inside))
+        return (-gamma * alpha * r ** (alpha - 1.0) * near_profile(r, t)
+                / ((1.0 - s * t) * inside + (1.0 - inside)))
 
-    return profile, derivative
+    def split(near, far):
+        # near(r, t) where t and (q-1) t are floats, far(r) where not; the
+        # branch not taken may overflow or divide by 0 unseen
+        def fn(r):
+            x = np.asarray(r, dtype=float)
+            with np.errstate(all="ignore"):
+                t = gamma * x**alpha
+                out = np.where(np.isinf(t * max(1.0, -s)), far(x), near(x, t))
+            return out if out.ndim else float(out)
+
+        return fn
+
+    return split(near_profile, far_profile), split(near_derivative, far_derivative)
 
 
 def _radius(r):
@@ -222,37 +230,23 @@ def density(params: QGaussianParams, x) -> float:
 def radial_density(params: QGaussianParams) -> RadialDensity:
     """Package the family member as a RadialDensity for the quadrature estimators.
 
-    The partition function is evaluated here, not per call (a second time for
-    the support hint when q > 1); the returned profile closures are cheap. The instance is tagged with its parameters so measure
-    consumers can route to closed forms when they recognize the family.
-
-    For q > 1 the support hint is the radius beyond which the float profile
-    is exactly 0, which next to q = 1 lies far inside the support ball: at
-    n = 1, alpha = 1.5, q = 1 + 1e-7 it is about 82 where R is 4.6e4, and
-    Gauss-Kronrod on [0, R] would miss the bulk. With s = q - 1 and
-    t = gamma r^alpha, the profile exp(log1p(-s t)/s)/Z is below half the
-    smallest subnormal 5e-324 once log1p(-s t)/s < L = log(5e-324) + log Z - 2,
-    that is beyond r = R (-expm1(s L))^(1/alpha); log Z is taken apart, since
-    5e-324 Z underflows at large Z. The margin e^-2 covers the rounding of
-    exp's subnormal result before the division by Z (e^-1 does not at
-    Z = 1.8). Where that radius is within 1e-12 of R, far above its rounding
-    error, the hint is R itself, so members away from q = 1 keep their bits.
+    The partition function is evaluated here, not per call, so the returned
+    profile closures are cheap. The support hint is the support radius: next
+    to q = 1 the bulk lies orders of magnitude inside it, where the compact
+    change of variable of ``measures`` still resolves it. The instance is
+    tagged with its parameters so measure consumers can route to closed forms
+    when they recognize the family.
     """
     profile, derivative = _profile_pair(params)
     label = (
         f"qgaussian:n={params.n},alpha={params.alpha:g},"
         f"q={params.q:g},gamma={params.gamma:g}"
     )
-    hint = params.support_radius
-    if math.isfinite(hint):
-        L = math.log(5e-324) + math.log(partition_fn(params)) - 2.0
-        zero = hint * (-math.expm1((params.q - 1.0) * L)) ** (1.0 / params.alpha)
-        hint = zero if zero < hint * (1.0 - 1e-12) else hint
     return RadialDensity(
         dim=params.n,
         profile=profile,
         derivative=derivative,
-        support_hint=hint,
+        support_hint=params.support_radius,
         descriptor=label,
         family=params,
     )

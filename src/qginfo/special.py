@@ -24,14 +24,23 @@ def log_gamma(x: float) -> float:
     return float(_special.gammaln(xf))
 
 
+# B_2k/(2k(2k - 1)), k = 1..7: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
 def beta_fn(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
     af, bf = float(a), float(b)
     if not (math.isfinite(af) and math.isfinite(bf)) or af <= 0.0 or bf <= 0.0:
         raise DomainError(f"beta_fn requires finite a, b > 0, got a={a!r}, b={b!r}")
-    # betaln stays accurate when one argument is huge, where the plain
-    # lgamma difference loses up to half its digits to cancellation
-    return math.exp(float(_special.betaln(af, bf)))
+    af, bf = min(af, bf), max(af, bf)
+    if bf < 20.0:
+        return math.exp(float(_special.betaln(af, bf)))
+    # lgamma(a) + log(Gamma(b)/Gamma(b+a)), the ratio from the Stirling series of
+    # both with the leading terms combined, so that nothing of size b log b cancels
+    ratio = -(bf - 0.5) * math.log1p(af / bf) - af * math.log(bf + af) + af + sum(
+        c * (bf ** (1 - 2 * k) - (bf + af) ** (1 - 2 * k)) for k, c in enumerate(_STIRLING, 1))
+    return math.exp(math.lgamma(af) + ratio)
 
 
 def unit_ball_volume(n: int) -> float:

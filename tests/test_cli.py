@@ -208,6 +208,16 @@ class TestQuadratureReach:
                            capsys)
         assert (code, err) == (0, "")
 
+    def test_mixture_narrower_than_float_resolution_of_log_r(self, capsys):
+        # variance 1e-30 at n = 1: the old lower remainder of the log-radius
+        # window raised, and the call exited 3; one component is a family
+        # member at q = 1, so every ratio is an equality
+        code, out, err = run(["verify", "--all", "--n", "1", "--q", "1", "--density",
+                              "mixture:1,0,1e-30"], capsys)
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 4 and all(r["equality"] for r in reports), reports
+
     def test_underflowed_moment_is_divergence_not_violation(self, capsys):
         # m_alpha = R^2/3 underflows to 0: a ratio of 0.0 exited 4
         code, out, err = run(["verify", "--all", "--density", "uniform-ball:1e-300"], capsys)
@@ -746,12 +756,12 @@ _FROZEN = {
         '# config: {"subcommand": "measures", "params": {"n": 1, "alpha": 2.0, "q": 1.0, '
         '"gamma": 1.0}, "format": "csv", "method": "both"}\n'
         "measure,closed,quadrature\r\n"
-        "mq,1.0,1.0000000000000002\r\n"
-        "hq,1.0723649429247,1.0723649429247002\r\n"
-        "sq,1.0723649429247,1.0723649429247002\r\n"
-        "nq,2.9222823653222774,2.9222823653222783\r\n"
+        "mq,1.0,1.0\r\n"
+        "hq,1.0723649429247,1.0723649429247\r\n"
+        "sq,1.0723649429247,1.0723649429247\r\n"
+        "nq,2.9222823653222774,2.9222823653222774\r\n"
         "m_alpha,0.5,0.5000000000000001\r\n"
-        "i_bq,2.0,2.0\r\n"
+        "i_bq,2.0,2.0000000000000004\r\n"
     ),
     ("verify", "--format", "csv", "--n", "2", "--q", "1.2"): (
         '# config: {"subcommand": "verify", "params": {"n": 2, "alpha": 2.0, "q": 1.2, '

@@ -10,6 +10,7 @@ from qginfo.errors import DivergenceError, DomainError, ZeroDensityError
 from qginfo.measures import (
     MeasureSet,
     RadialDensity,
+    _fd_derivative,
     gaussian_mixture,
     measure_all,
     quad_Mq,
@@ -25,7 +26,6 @@ from qginfo.qgaussian import (
     closed_measures,
     partition_fn,
     radial_density,
-    radial_profile,
 )
 
 # frozen mixture references (independent high-precision quadrature):
@@ -104,8 +104,7 @@ class TestLogRadiusIntegral:
     def test_random_mixtures_keep_their_mass_or_raise(self):
         # a component too narrow to lie inside the window lost its mass below
         # log r = -40: 27 of these mixtures were silently wrong, by up to 1.6e-3.
-        # The bound is 10 times the quadrature tolerance: the window's own error
-        # estimate under-reports by up to 4 times on a bulk just below log r = 20
+        # The trapezoid rule reaches every one: the worst mass is 1 - 1.8e-15
         rng = random.Random(2012)
         wrong, raised = [], 0
         for _ in range(300):
@@ -117,10 +116,26 @@ class TestLogRadiusIntegral:
             except DivergenceError:
                 raised += 1
                 continue
-            if abs(mass - 1.0) > 1e-7:
+            if abs(mass - 1.0) > 1e-14:
                 wrong.append((n, components, mass))
         assert not wrong
-        assert raised <= 10
+        assert raised == 0
+
+    def test_mixtures_at_every_scale(self):
+        # 1-3 components of variance 1e-30 to 1e30: mass and second moment to
+        # 1e-12 (3.0e-15 measured), none raising. Two were wrong before: a bulk
+        # just below log r = 20 lost 2.8e-8 of its mass, and a component of
+        # variance below 2.2e-29 at n = 1 raised
+        rng = random.Random(11)
+        cases = [(1, [(1.0, 7.7e15)]), (1, [(1.0, 1e-30)])]
+        for _ in range(1000):
+            cases.append((rng.choice((1, 2, 3)), [(rng.uniform(0.1, 1.0), 10.0 ** rng.uniform(-30.0, 30.0))
+                                                 for _ in range(rng.randint(1, 3))]))
+        for n, components in cases:
+            f = gaussian_mixture(n, components)
+            second = n * sum(w * v for w, v in components) / sum(w for w, _ in components)
+            assert quad_Mq(f, 1.0) == pytest.approx(1.0, rel=1e-12, abs=0.0), (n, components)
+            assert quad_moment(f, 2.0) == pytest.approx(second, rel=1e-12), (n, components)
 
     def test_very_wide_mixture(self):
         assert quad_Mq(gaussian_mixture(2, [(1.0, 1e15)]), 1.0) == pytest.approx(1.0, abs=1e-8)
@@ -130,29 +145,30 @@ class TestLogRadiusIntegral:
     def test_next_to_q_one(self, n, alpha):
         # the profile kept 1/|q-1| times its rounding error: measure_all raised
         # at q = 1 - 1e-11 on every pair; above 1, Gauss-Kronrod on the support
-        # ball [0, R] missed the bulk, and 18 of the 45 members raised
+        # ball [0, R] missed the bulk, and 18 of the 45 members raised. With the
+        # Beta function right next to q = 1, the worst gap is 1.2e-14
         qs = [1.0 + sign * 10.0**-k for sign in (-1.0, 1.0) for k in (3, 5, 7, 9, 11)]
         for q in qs:
             p = QGaussianParams(n=n, alpha=alpha, q=q)
             got, ref = measure_all(radial_density(p), alpha, q), closed_measures(p)
             for key in ("Mq", "m_alpha", "I_bq"):
-                assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-6), (q, key)
+                assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-13), (q, key)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
-    def test_support_hint_is_where_the_profile_is_zero(self, alpha):
-        # next to q = 1 the profile is 0 far inside the support ball; away
-        # from it the hint is the ball's radius itself, bit for bit
+    def test_support_hint_is_the_support_radius(self, alpha):
+        # next to q = 1 the bulk lies orders of magnitude inside the support
+        # ball (near 1, where R is 4.6e4 at n = 1, alpha = 1.5, q = 1 + 1e-7);
+        # the compact change of variable resolves it without a narrower hint
         for n in (1, 2, 3):
-            for q in [1.0 + 10.0**-k for k in (3, 5, 7, 9, 11)]:
-                p = QGaussianParams(n=n, alpha=alpha, q=q)
-                f = radial_density(p)
-                assert f.support_hint < p.support_radius, (n, q)
-                beyond = math.nextafter(f.support_hint, math.inf)
-                assert f.profile(beyond) == 0.0, (n, q)
-                assert radial_profile(p, np.array([beyond]))[0] == 0.0, (n, q)
-            for q in (1.05, 1.3, 2.0, 5.0):
-                p = QGaussianParams(n=n, alpha=alpha, q=q, gamma=0.7)
-                assert radial_density(p).support_hint == p.support_radius, (n, q)
+            for q, gamma in [(1.0 + 10.0**-k, 1.0) for k in (3, 5, 7, 9, 11)] + [
+                    (q, 0.7) for q in (1.05, 1.3, 2.0, 5.0)]:
+                p = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma)
+                f, ref = radial_density(p), closed_measures(p)
+                assert f.support_hint == p.support_radius, (n, q)
+                assert quad_Mq(f, q) == pytest.approx(ref.Mq, rel=1e-12), (n, q)
+                assert quad_moment(f, alpha) == pytest.approx(ref.m_alpha, rel=1e-12), (n, q)
+                assert quad_fisher(f, alpha / (alpha - 1.0), q) == pytest.approx(
+                    ref.I_bq, rel=1e-12), (n, q)
 
     def test_power_tail_past_float_range_of_r_alpha(self):
         # r^alpha leaves float range inside the window; the profile takes log r there
@@ -202,6 +218,30 @@ class TestFactories:
         ref = quad_moment(src, 2.0)
         assert quad_moment(f, 2.0) == pytest.approx(ref, rel=1e-5)
 
+    def test_profiles_take_arrays(self):
+        # the quadrature evaluates every profile and derivative on arrays of
+        # radii; called on an array, each equals its scalar calls element by
+        # element. The family's members at alpha = 30 leave float range of
+        # r^alpha; at q = -25, (q-1) r^alpha does so first, at r = 1.71e10,
+        # where the profile read 0 until the power law took over from r = 2e10
+        radii = np.array([0.0, 1e-300, 1e-8, 0.3, 1.0, 1.3, 2.5, 7.9, 8.0, 12.0, 1e5, 1.71e10,
+                          1e11, 1e30])
+        table_radii = np.linspace(0.0, 3.0, 40)
+        densities = [
+            gaussian_mixture(2, [(0.3, 1.0), (0.7, 2.5)]),
+            uniform_ball(3, 2.0),
+            truncated_exponential(2, rate=3.0, radius=8.0),
+            table_profile(1, table_radii, np.exp(-table_radii**2)),
+            *(radial_density(QGaussianParams(n=n, alpha=alpha, q=q)) for n, alpha, q in
+              [(1, 30.0, -25.0), (1, 30.0, 0.5), (2, 2.0, 1.5), (3, 1.5, 1.0), (3, 1.5, 0.8)]),
+        ]
+        for f in densities:
+            for fn in (f.profile, f.derivative or _fd_derivative(f.profile)):
+                scalar = [fn(float(r)) for r in radii]
+                np.testing.assert_array_equal(fn(radii), scalar, err_msg=f.descriptor)
+        assert densities[4].profile(1.71e10) == pytest.approx(
+            densities[4].profile(2e10) * (2e10 / 1.71e10) ** (30.0 / 26.0), rel=1e-12)
+
     def test_table_profile_rejects_bad_input(self):
         with pytest.raises(DomainError):
             table_profile(1, [0.0, 1.0], [1.0])
@@ -226,7 +266,7 @@ class TestFisherEdgeCases:
         assert without == pytest.approx(withd, rel=1e-5)
 
     def test_interior_zero_rejected(self):
-        f = RadialDensity(dim=1, profile=lambda r: max(0.0, math.sin(r)) * math.exp(-r),
+        f = RadialDensity(dim=1, profile=lambda r: np.maximum(0.0, np.sin(r)) * np.exp(-r),
                           derivative=None, support_hint=float("inf"),
                           descriptor="interior-zero")
         with pytest.raises(ZeroDensityError):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,20 @@ class TestPartition:
     def test_frozen_heavy_tail(self):
         p = QGaussianParams(n=2, alpha=2.0, q=0.9, gamma=1.0)
         assert partition_fn(p) == pytest.approx(Z_N2_A2_Q09, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_matches_mpmath_next_to_q_one(self, n, alpha):
+        # Z = (n omega_n/alpha) |q-1|^(-n/alpha) B(n/alpha, b) with b ~ 1/|q-1|:
+        # 4.0e-10 off at q = 1 +- 1e-5 through scipy's betaln, 9.1e-15 now
+        for q in (1.0 + sign * 10.0**-k for k in range(3, 12) for sign in (1.0, -1.0)):
+            got = partition_fn(QGaussianParams(n=n, alpha=alpha, q=q))
+            with mpmath.workdps(40):
+                a, s = mpmath.mpf(n) / alpha, mpmath.mpf(q) - 1
+                b = 1 / s + 1 if s > 0 else -1 / s - a
+                expected = (n * mpmath.pi ** (a * alpha / 2) / mpmath.gamma(a * alpha / 2 + 1)
+                            / alpha * abs(s) ** -a * mpmath.beta(a, b))
+                assert float(abs(got / expected - 1)) <= 1e-12, q
 
     @pytest.mark.parametrize("n,alpha,q,gamma", [(1, 2.0, 1.5, 1.0), (2, 3.0, 0.8, 2.0), (3, 1.5, 1.2, 0.5)])
     def test_density_normalized(self, n, alpha, q, gamma):

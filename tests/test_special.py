@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,16 @@ class TestBetaFn:
     def test_gamma_identity(self, a, b):
         expected = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
         assert beta_fn(a, b) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+    def test_matches_mpmath_with_one_argument_large(self, a):
+        # b ~ 1/|q - 1| next to q = 1; exp(betaln) was off by up to 1.1e-8
+        # here, the Stirling series of Gamma(b)/Gamma(b + a) by 6.6e-14
+        for b in 10.0 ** np.linspace(math.log10(20.0), 13.0, 8 * 12 + 1):
+            with mpmath.workdps(40):
+                expected = mpmath.beta(mpmath.mpf(a), mpmath.mpf(float(b)))
+                assert float(abs(beta_fn(a, b) / expected - 1)) <= 1e-13, (a, b)
+            assert beta_fn(b, a) == beta_fn(a, b)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
