@@ -3,7 +3,8 @@
 Closed-form Renyi/Tsallis entropies, elliptic moments, and generalized
 Fisher information for the radial power-law family, cross-checked against
 quadrature on arbitrary radial densities; sharp information inequalities
-with equality detection; exact inverse-CDF sampling; and a constrained
+with equality detection; exact sampling from numpy's gamma and beta
+generators; and a constrained
 variational solver that recovers the extremal profile.
 """
 

@@ -217,13 +217,14 @@ def _resolve_density(args) -> RadialDensity:
         path = spec[len("profile:"):]
         radii, values = [], []
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
+            rows = (row for row in csv.reader(fh) if row and not row[0].startswith("#"))
+            for i, row in enumerate(rows):
                 try:
                     r, v = float(row[0]), float(row[1])
                 except ValueError:
-                    continue  # header line
+                    if i == 0:
+                        continue  # header line
+                    raise DomainError(f"{path} row {row!r} is not numeric: radius,value") from None
                 except IndexError:
                     raise DomainError(f"{path} row {row!r} needs two fields: radius,value") from None
                 radii.append(r)

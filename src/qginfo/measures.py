@@ -7,7 +7,10 @@ integral to one radial integral through
 
     integral over R^n of g(|x|) dx  =  n * omega_n * integral r^{n-1} g(r) dr.
 
-Each is one trapezoid rule in s = log r on an infinite support, or in u with
+Every measure integrates one monomial weight |x|^p f^a |grad f|^b, times
+-log f for the Shannon entropy: M_q is (p, a, b) = (0, q, 0), m_alpha is
+(alpha, 1, 0) and I_bq is (0, beta(q-1) + 1 - beta, beta). Each is one
+trapezoid rule in s = log r on an infinite support, or in u with
 r = R/(1 + e^-u) on a compact one [0, R], where it converges geometrically
 (Trefethen & Weideman, SIAM Review 56, 2014); it reads only the weight, never
 q. That independence is what makes the estimators usable as oracles for the
@@ -165,7 +168,7 @@ def _trapezoid(g, var: str, lo: float, hi: float) -> float:
     v = g(x)
     peak, scale = float(np.max(np.abs(v))), float(np.sum(np.abs(v)))
     if not 0.0 < peak < math.inf:
-        return float(np.sum(v))  # 0, or not finite: the callers' _finite decides
+        return float(np.sum(v))  # 0, or not finite: the caller decides
     first, last = np.flatnonzero(np.abs(v) > _TRIM * peak)[[0, -1]]
     kappa = [math.inf, math.inf]
     if last == x.size - 1:
@@ -194,29 +197,6 @@ def _trapezoid(g, var: str, lo: float, hi: float) -> float:
     return value
 
 
-def _integrate_radial(f: RadialDensity, w) -> float:
-    """Integrate the radial weight w(r, log r) = r * integrand, on arrays, over (0, R).
-
-    An infinite support is integrated in s = log r, where dr = r ds; a compact
-    one in u with r = R/(1 + e^-u), where dr = r du/(1 + e^u). The callers
-    check that the result is finite.
-    """
-    R = f.support_hint
-    with np.errstate(all="ignore"):  # a weight that is not finite is the callers' DivergenceError
-        if math.isinf(R):
-            return _trapezoid(lambda s: w(np.exp(s), s), "log r", *_S_WINDOW)
-        return _trapezoid(lambda u: w(R / (1.0 + np.exp(-u)), math.log(R) - np.log1p(np.exp(-u)))
-                          / (1.0 + np.exp(u)), "u", *_U_WINDOW)
-
-
-def _finite(value: float, positive: bool = False) -> float:
-    """The value of a radial integral, which must be finite, and positive if asked."""
-    if math.isfinite(value) and (value > 0.0 or not positive):
-        return value
-    what = "a finite positive" if positive else "a finite"
-    raise DivergenceError(f"radial integral evaluates to {value:g}, not {what} value")
-
-
 def _fd_derivative(profile) -> Callable:
     # central difference on the even radial extension, one Richardson level
     def deriv(r):
@@ -230,42 +210,66 @@ def _fd_derivative(profile) -> Callable:
     return deriv
 
 
-def _power_weight(f: RadialDensity, p: float, q: float):
-    """The weight w(r, log r) = n omega_n r^{n+p} f_r^q of int |x|^p f^q, assembled in log space."""
-    surface, power = unit_sphere_area(f.dim), f.dim + p
+def _radial_integral(f: RadialDensity, p: float, a: float, b: float = 0.0,
+                     entropy: bool = False) -> float:
+    """The integral of |x|^p f^a |grad f|^b over R^n, of -|x|^p f^a log f if ``entropy``.
+
+    Its weight in s = log r, n omega_n r^{n+p} f_r^a |f_r'|^b, is assembled in
+    log space, which keeps it finite in deep tails. An infinite support is
+    integrated in s, where dr = r ds; a compact one in u with
+    r = R/(1 + e^-u), where dr = r du/(1 + e^u). With b > 0 the derivative is
+    read, and a profile that vanishes between two radii where it is positive
+    raises ZeroDensityError. The result must be finite, and positive unless
+    ``entropy`` is set.
+    """
+    surface, power, R = unit_sphere_area(f.dim), f.dim + p, f.support_hint
+    dprof = (f.derivative or _fd_derivative(f.profile)) if b > 0 else None
 
     def w(r, log_r):
         fv = f.profile(r)
-        return np.where(fv > 0.0, surface * np.exp(power * log_r + q * np.log(fv)), 0.0)
+        inside, log_f = fv > 0.0, np.log(fv)
+        log_w = power * log_r + a * log_f
+        if b > 0:
+            dv = dprof(r)
+            ends = np.flatnonzero(inside)
+            if ends.size and not inside[ends[0]:ends[-1]].all():
+                where = r[ends[0] + np.argmin(inside[ends[0]:ends[-1]])]
+                raise ZeroDensityError(f"{f.descriptor}: profile vanishes at interior radius "
+                                       f"{where:g}")
+            inside, log_w = inside & (dv != 0.0), log_w + b * np.log(np.abs(dv))
+        return np.where(inside, -surface * log_f * np.exp(log_w) if entropy
+                        else surface * np.exp(log_w), 0.0)
 
-    return w
+    with np.errstate(all="ignore"):  # a weight that is not finite is the DivergenceError below
+        if math.isinf(R):
+            value = _trapezoid(lambda s: w(np.exp(s), s), "log r", *_S_WINDOW)
+        else:
+            value = _trapezoid(lambda u: w(R / (1.0 + np.exp(-u)),
+                                           math.log(R) - np.log1p(np.exp(-u)))
+                               / (1.0 + np.exp(u)), "u", *_U_WINDOW)
+    if math.isfinite(value) and (value > 0.0 or entropy):
+        return value
+    what = "a finite" if entropy else "a finite positive"
+    raise DivergenceError(f"radial integral evaluates to {value:g}, not {what} value")
 
 
 def quad_Mq(f: RadialDensity, q: float) -> float:
     """Information generating functional M_q[f] = int f^q over R^n."""
     if q < 0:
         raise DomainError(f"quad_Mq requires q >= 0, got {q}")
-    return _finite(_integrate_radial(f, _power_weight(f, 0.0, q)), positive=True)
+    return _radial_integral(f, 0.0, q)
 
 
 def quad_moment(f: RadialDensity, alpha: float) -> float:
     """Elliptic moment m_alpha[f] = int |x|^alpha f over R^n."""
     if alpha <= 0:
         raise DomainError(f"quad_moment requires alpha > 0, got {alpha}")
-    return _finite(_integrate_radial(f, _power_weight(f, alpha, 1.0)), positive=True)
+    return _radial_integral(f, alpha, 1.0)
 
 
 def quad_shannon(f: RadialDensity) -> float:
     """Shannon entropy -int f log f over R^n."""
-    n = f.dim
-    surface = unit_sphere_area(n)
-
-    def w(r, log_r):
-        fv = f.profile(r)
-        log_f = np.log(fv)
-        return np.where(fv > 0.0, -surface * log_f * np.exp(n * log_r + log_f), 0.0)
-
-    return _finite(_integrate_radial(f, w))
+    return _radial_integral(f, 0.0, 1.0, entropy=True)
 
 
 def quad_fisher(f: RadialDensity, beta: float, q: float) -> float:
@@ -282,23 +286,7 @@ def quad_fisher(f: RadialDensity, beta: float, q: float) -> float:
         raise DomainError(f"quad_fisher requires beta > 1, got {beta}")
     if why := validity.differentiable(f.differentiable):
         raise DomainError(f"{f.descriptor}: {why}")
-    n = f.dim
-    surface = unit_sphere_area(n)
-    dprof = f.derivative or _fd_derivative(f.profile)
-    w_exp = beta * (q - 1.0) + 1.0
-
-    def w(r, log_r):
-        fv, dv = f.profile(r), dprof(r)
-        inside = fv > 0.0
-        ends = np.flatnonzero(inside)
-        if ends.size and not inside[ends[0]:ends[-1]].all():
-            where = r[ends[0] + np.argmin(inside[ends[0]:ends[-1]])]
-            raise ZeroDensityError(f"{f.descriptor}: profile vanishes at interior radius {where:g}")
-        # log-space assembly keeps r^n f^{w-beta} |f'|^beta finite in deep tails
-        return np.where(inside & (dv != 0.0), surface * np.exp(
-            n * log_r + (w_exp - beta) * np.log(fv) + beta * np.log(np.abs(dv))), 0.0)
-
-    return _finite(_integrate_radial(f, w), positive=True)
+    return _radial_integral(f, 0.0, beta * (q - 1.0) + 1.0 - beta, beta)
 
 
 def _quad_Hq(f: RadialDensity, q: float, Mq, shannon) -> float:
@@ -334,11 +322,16 @@ def gaussian_mixture(dim: int, components, descriptor: str | None = None) -> Rad
     comps = [(w / wsum, v) for w, v in comps]
     n = int(dim)
     norms = [(w, v, w * (2.0 * math.pi * v) ** (-n / 2.0)) for w, v in comps]
+    # beyond 40 standard deviations of the widest component every exp(-r^2/2v)
+    # is exactly 0: r clamped there keeps r*r and r/v finite, and every bit
+    edge = 40.0 * math.sqrt(max(v for _, v in comps))
 
     def profile(r):
+        r = np.minimum(r, edge)
         return sum(c * np.exp(-r * r / (2.0 * v)) for _, v, c in norms)
 
     def derivative(r):
+        r = np.minimum(r, edge)
         return sum(-(r / v) * c * np.exp(-r * r / (2.0 * v)) for _, v, c in norms)
 
     label = descriptor or "mixture:" + ";".join(f"{w:g},0,{v:g}" for w, v in comps)

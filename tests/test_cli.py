@@ -385,6 +385,44 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error: ") and "['0.5']" in err
 
+    @staticmethod
+    def _gaussian_table(path, rows=401, replace=None, comments=False):
+        # exp(-r^2) on [0, 6]; ``replace`` maps a row index to the text written there
+        radii = np.linspace(0.0, 6.0, rows).tolist()
+        lines = ["r,f"] + [f"{r!r},{math.exp(-r * r)!r}" for r in radii]
+        for i, text in (replace or {}).items():
+            lines[i + 1] = text
+        if comments:
+            lines[1:1] = ["# exp(-r^2)"]
+            lines[200:200] = ["#, a comment row inside the table"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return f"profile:{path}"
+
+    def test_profile_typo_row_is_invalid_input(self, tmp_path, capsys):
+        # only the first row may fail to parse (a header); a later one is a typo
+        density = self._gaussian_table(tmp_path / "typo.csv",
+                                       replace={100: "1.5,0.1O5", 101: "1.515,oops"})
+        code, _, err = run(["verify", "--all", "--n", "1", "--q", "1", "--density", density],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "typo.csv" in err and "'0.1O5'" in err
+
+    def test_profile_comment_rows_are_skipped(self, tmp_path, capsys):
+        argv = ["verify", "--all", "--n", "1", "--q", "1", "--density"]
+        plain = run(argv + [self._gaussian_table(tmp_path / "t.csv")], capsys)
+        commented = run(argv + [self._gaussian_table(tmp_path / "t.csv", comments=True)], capsys)
+        assert plain[0] == 0 and commented == plain
+
+    @pytest.mark.parametrize("density,message", [
+        ("gaussian", "unknown density selector"),
+        ("mixture:1,0", "must be weight,center,variance"),
+        ("mixture:1,0,1;0.5,1", "must be weight,center,variance"),
+    ])
+    def test_malformed_density_is_invalid_input(self, density, message, capsys):
+        code, _, err = run(["verify", "--all", "--density", density], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
 
 class TestSweepCommand:
     def test_small_grid(self, capsys):
@@ -434,6 +472,12 @@ class TestSweepCommand:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec", ["0.9:1.2:0", "1.2:0.9:-0.1"])
+    def test_range_step_must_be_positive(self, spec, capsys):
+        code, _, err = run(["sweep", "--n", "1", "--alpha", "2", "--q", spec], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "range step must be positive" in err
 
     def test_gamma_sweep_scale_invariance(self, capsys):
         # deficits are identically zero along a gamma sweep of a family member

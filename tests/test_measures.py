@@ -191,6 +191,19 @@ class TestLogRadiusIntegral:
         with pytest.raises(DivergenceError, match="does not decay"):
             quad_Mq(f, 0.4)
 
+    def test_weight_not_exponential_past_the_window_is_divergence(self):
+        # r^-1 log(r)^-3 decays in log r, but slower than any exponential:
+        # its last two slopes before s = 80 disagree on the remainder
+        f = RadialDensity(dim=1, profile=lambda r: 1.0 / ((1.0 + r) * np.log(2.0 + r) ** 3))
+        with pytest.raises(DivergenceError, match="not exponential in log r at 80"):
+            quad_Mq(f, 1.0)
+
+    def test_unsettled_trapezoid_sum_is_divergence(self):
+        # a jump at r = 1 on an infinite support: the rule converges only at first order
+        f = RadialDensity(dim=1, profile=lambda r: np.where(r < 1.0, 1.0, 0.5) * np.exp(-r))
+        with pytest.raises(DivergenceError, match=r"still moves by 4\.49e-05 at h = 0\.000244141"):
+            quad_Mq(f, 1.0)
+
 
 class TestFactories:
     def test_truncated_exponential_normalized(self):
@@ -241,6 +254,15 @@ class TestFactories:
                 np.testing.assert_array_equal(fn(radii), scalar, err_msg=f.descriptor)
         assert densities[4].profile(1.71e10) == pytest.approx(
             densities[4].profile(2e10) * (2e10 / 1.71e10) ** (30.0 / 26.0), rel=1e-12)
+
+    @pytest.mark.parametrize("variance", [1.0, 1e-30])
+    @pytest.mark.parametrize("r", [1e200, 1e300])
+    def test_mixture_past_float_range_of_r_squared(self, variance, r):
+        # r*r and r/v overflow: the profile and derivative are 0, without a warning
+        f = gaussian_mixture(1, [(1.0, variance)])
+        for fn in (f.profile, f.derivative):
+            assert fn(r) == 0.0
+            np.testing.assert_array_equal(fn(np.array([r])), [0.0])
 
     def test_table_profile_rejects_bad_input(self):
         with pytest.raises(DomainError):
