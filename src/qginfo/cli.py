@@ -13,6 +13,7 @@ maps to 3.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DIVERGED = 3
 EXIT_VIOLATED = 4
+
+# the family flags, in the order every configuration echo lists them
+_FAMILY_FLAGS = ("n", "alpha", "q", "gamma")
 
 # largest sweep grid accepted, counted before any grid list is built
 MAX_SWEEP_ROWS = 100_000
@@ -180,6 +184,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _config(args, params=None, **fields) -> dict:
+    """The configuration a report echoes: the subcommand, its params, then fields in order.
+
+    params defaults to the family flags the subcommand parsed.
+    """
+    if params is None:
+        params = {flag: getattr(args, flag) for flag in _FAMILY_FLAGS if hasattr(args, flag)}
+    return {"subcommand": args.subcommand, "params": params, **fields}
+
+
 def _params_from(args) -> QGaussianParams:
     return QGaussianParams(n=args.n, alpha=args.alpha, q=args.q, gamma=args.gamma)
 
@@ -239,12 +253,7 @@ def _resolve_density(args) -> RadialDensity:
 def cmd_measures(args) -> int:
     params = _params_from(args)
     _gate_flags(params)
-    config = {
-        "subcommand": "measures",
-        "params": {"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
-        "format": args.format,
-        "method": args.method,
-    }
+    config = _config(args, format=args.format, method=args.method)
     payload: dict = {"config": config, "Z": partition_fn(params)}
     if args.method in ("closed", "both"):
         payload["closed"] = closed_measures(params).as_dict()
@@ -266,19 +275,14 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = INEQUALITY_NAMES if args.all or not args.ineq else tuple(args.ineq)
+    names = tuple(args.ineq or INEQUALITY_NAMES)
     for flag, tol in (("--rel-tol", args.rel_tol), ("--eq-tol", args.eq_tol)):
         if not (math.isfinite(tol) and tol >= 0):
             raise DomainError(f"{flag} must be finite and >= 0, got {tol}")
     density = _resolve_density(args)
-    config = {
-        "subcommand": "verify",
-        "params": {"n": args.n, "alpha": args.alpha, "q": args.q, "gamma": args.gamma},
-        "format": args.format,
-        "density": args.density,
-        "tolerances": {"rel_tol": args.rel_tol, "eq_tol": args.eq_tol},
-        "inequalities": list(names),
-    }
+    config = _config(args, format=args.format, density=args.density,
+                     tolerances={"rel_tol": args.rel_tol, "eq_tol": args.eq_tol},
+                     inequalities=list(names))
     # --all runs whatever applies and records why the rest do not; an explicit
     # request that does not apply is an error raised by check_all
     skipped = inapplicable(density, args.alpha, args.q, names) if args.all else {}
@@ -338,20 +342,19 @@ def _parse_grid(text: str, integer: bool = False) -> list:
 _SWEEP_DEFICITS = {name: "deficit_" + name.replace("-", "_") for name in INEQUALITY_NAMES}
 
 
-def _sweep_row(tup) -> dict:
-    n, alpha, q, gamma = tup
-    row = {"n": n, "alpha": alpha, "q": q, "gamma": gamma}
+def _sweep_row(point) -> dict:
+    row = dict(zip(_FAMILY_FLAGS, point))
     notes = []
     try:
-        params = QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma)
+        params = QGaussianParams(**row)
         _gate_flags(params)
         ms = closed_measures(params)
         row.update({key: getattr(ms, key) for key in MEASURE_KEYS})
         density = radial_density(params)
-        skipped = inapplicable(density, alpha, q)
+        skipped = inapplicable(density, params.alpha, params.q)
         notes.extend(f"{name}: {reason}" for name, reason in skipped.items())
         names = [name for name in INEQUALITY_NAMES if name not in skipped]
-        for report in check_all(density, alpha, q, names=names):
+        for report in check_all(density, params.alpha, params.q, names=names):
             row[_SWEEP_DEFICITS[report.name]] = report.deficit
     except (DomainError, ArithmeticError) as exc:
         notes.append(str(exc))
@@ -360,27 +363,15 @@ def _sweep_row(tup) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    grids = {
-        "n": _parse_grid(args.n, integer=True),
-        "alpha": _parse_grid(args.alpha),
-        "q": _parse_grid(args.q),
-        "gamma": _parse_grid(args.gamma),
-    }
+    grids = {flag: _parse_grid(getattr(args, flag), integer=flag == "n") for flag in _FAMILY_FLAGS}
     size = math.prod(len(grid) for grid in grids.values())
     if size > MAX_SWEEP_ROWS:
         raise DomainError(f"sweep grid has {size} points, over {MAX_SWEEP_ROWS}")
-    tuples = [
-        (n, alpha, q, gamma)
-        for n in grids["n"]
-        for alpha in grids["alpha"]
-        for q in grids["q"]
-        for gamma in grids["gamma"]
-    ]
-    if not tuples:
+    if size == 0:
         raise DomainError("sweep grid is empty")
-    config = {"subcommand": "sweep", "params": grids, "format": "csv"}
-    rows = [_sweep_row(t) for t in tuples]
-    columns = ["n", "alpha", "q", "gamma", *MEASURE_KEYS, *_SWEEP_DEFICITS.values(), "error"]
+    config = _config(args, params=grids, format="csv")
+    rows = [_sweep_row(t) for t in itertools.product(*grids.values())]
+    columns = [*_FAMILY_FLAGS, *MEASURE_KEYS, *_SWEEP_DEFICITS.values(), "error"]
     cells = ([row.get(c, "") for c in columns] for row in rows)
     _emit(_csv_text(config, [c.lower() for c in columns], cells), args.out)
     return EXIT_OK
@@ -388,14 +379,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     params = _params_from(args)
-    config = {
-        "subcommand": "sample",
-        "params": {"n": params.n, "alpha": params.alpha, "q": params.q, "gamma": params.gamma},
-        "format": "csv",
-        "seed": args.seed,
-        "count": args.count,
-        "rng": RNG_ALGORITHM,
-    }
+    config = _config(args, format="csv", seed=args.seed, count=args.count, rng=RNG_ALGORITHM)
     # sample() rejects a bad count, seed or size, and non-finite draws, before
     # the output is opened
     batch = sample(params, args.count, args.seed)
@@ -417,14 +401,8 @@ def cmd_minimize(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         solution = solve(problem, init=args.init)
     lhs, rhs, gap = check_proposition1(solution, problem)
-    config = {
-        "subcommand": "minimize",
-        "params": {"n": args.n, "alpha": args.alpha, "q": args.q},
-        "format": args.format,
-        "moment": args.moment,
-        "nodes": args.nodes,
-        "init": args.init,
-    }
+    config = _config(args, format=args.format, moment=args.moment, nodes=args.nodes,
+                     init=args.init)
     if args.format == "csv":
         closed = extremal_profile(problem)
         rows = zip(problem.grid.tolist(), solution.u_values.tolist(), closed.tolist())
@@ -478,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--density", default="qgaussian",
                    help="qgaussian | mixture:w,0,var;... | uniform-ball[:radius] | profile:path")
-    p.add_argument("--ineq", action="append", choices=INEQUALITY_NAMES, default=None)
-    p.add_argument("--all", action="store_true", help="run every applicable inequality")
+    selection = p.add_mutually_exclusive_group()
+    selection.add_argument("--ineq", action="append", choices=INEQUALITY_NAMES, default=None)
+    selection.add_argument("--all", action="store_true", help="run every applicable inequality")
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--eq-tol", type=float, default=DEFAULT_EQ_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")

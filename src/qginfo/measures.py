@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import integrate  # noqa: F401  unused; bench/tracer.py patches this module attribute
 from scipy import special as _special
-from scipy.interpolate import CubicSpline
 
 from . import validity
 from .errors import DivergenceError, DomainError, ZeroDensityError
 from .special import unit_sphere_area
+
+# no integrator is imported; bench/tracer.py patches this name, and its proxy
+# never calls through it
+integrate = None
 
 __all__ = [
     "CLOSED_FORM",
@@ -404,6 +406,10 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
         raise DomainError("radii must start at 0 and increase strictly")
     if np.any(v < 0):
         raise DomainError("profile values must be nonnegative")
+    # imported here, its only use: scipy.interpolate imports scipy.optimize,
+    # which no other path of the package needs
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(r, v, bc_type="natural")
     dspline = spline.derivative()
     R = float(r[-1])

@@ -54,10 +54,11 @@ class QGaussianParams:
     """One member of the generalized Gaussian family.
 
     Existence is enforced at construction; finiteness of individual measures
-    is exposed as flags (``mq_finite``, ``fisher_finite``) that the closed-form
-    operations consult before evaluating, so no divergent formula is ever
-    computed silently. All of these bounds, and the ``exponential_branch``
-    test, come from ``qginfo.validity``.
+    is exposed as flags (``mq_finite``, ``fisher_finite``). The closed-form
+    operations do not read these flags: they ask ``qginfo.validity`` itself
+    before evaluating (through ``_require_mq_finite`` and ``beta``), so no
+    divergent formula is ever computed silently. All of these bounds, and the
+    ``exponential_branch`` test, come from ``qginfo.validity``.
     """
 
     n: int

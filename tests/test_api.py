@@ -1,6 +1,9 @@
 """The package root re-exports each module's public names, and nothing is lost."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +60,15 @@ def test_root_exports_exactly_the_module_lists():
         f"qginfo.{module}").__all__}
     assert set(qginfo.__all__) == declared
     assert len(qginfo.__all__) == len(declared)
+
+
+def test_cli_import_loads_only_the_scipy_it_uses():
+    # nothing the package computes needs an optimizer, an adaptive integrator
+    # or an interpolator at import; the table spline is imported on first use
+    src = os.path.dirname(os.path.dirname(qginfo.__file__))
+    probe = ("import sys, qginfo.cli; print(sorted({m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
+             "['scipy', 'interpolate'])}))")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

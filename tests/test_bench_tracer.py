@@ -1,9 +1,15 @@
 """The benchmark's tracer patches program attributes by name: each must exist and come back."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
+import qginfo.cli
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = TRACER.parent
 
 
 def _load_tracer():
@@ -27,3 +33,41 @@ def test_install_then_uninstall_restores_every_attribute():
         tracer.uninstall()
     for module, attr, original in patched:
         assert getattr(module, attr) is original, (module.__name__, attr)
+
+
+def _load_bench(monkeypatch):
+    """bench/'s modules, registered under the names they import one another by."""
+    # run.py pins one BLAS thread on import; keep that out of the other tests
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    modules = {}
+    for name in ("workloads", "tracer", "checks", "layers", "run"):
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return modules
+
+
+# the two traced passes of `bench/run.py --trace 1`, without its self-time
+# bound, which is within the jitter of a shared host
+@pytest.mark.parametrize("workload", ["interactive", "solve"])
+def test_traced_passes_are_correct_and_count_alike(workload, tmp_path, monkeypatch):
+    bench = _load_bench(monkeypatch)
+    run, tracer, layers = bench["run"], bench["tracer"], bench["layers"]
+    ops = bench["workloads"].WORKLOADS[workload].build(1, tmp_path)
+    checker, tally = bench["checks"].Checker(), run.Tally()
+    passes = []
+    for _ in range(2):
+        recorder = tracer.Tracer()
+        tracer.install(recorder)
+        try:
+            latencies, outcomes = run.run_pass(qginfo.cli.main, ops, checker, tally, recorder)
+        finally:
+            recorder.uninstall()
+        wall = sum(latencies)
+        passes.append(layers.derive(recorder, ops, outcomes, wall, wall)[0])
+    assert not tally.unexpected, "\n".join(tally.unexpected)
+    first, second = passes
+    differ = [f"{name}: {first[name]} vs {second[name]}" for name, unit in layers.PER_LAYER
+              if unit in ("count", "ratio") and first[name] != second[name]]
+    assert not differ, "\n".join(differ)

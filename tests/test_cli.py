@@ -350,6 +350,15 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_all_and_ineq_exclude_each_other(self, capsys):
+        argv = ["verify", "--all", "--ineq", "stam", "--n", "1", "--q", "1",
+                "--density", "mixture:0.5,0,1;0.5,0,4"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (caught.value.code, out) == (2, "")
+        assert "not allowed with" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n,q,radius", [(1, 1.5, None), (2, 1.0, 12.0), (3, 1.2, None)])
     def test_tabulated_family_member_is_an_equality_case(self, n, q, radius, tmp_path, capsys):
         # a 1500-row table of the alpha = 2 member, out to its support radius or
@@ -425,6 +434,19 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
+    def test_config_echoes_the_grids_in_row_order(self, capsys):
+        code, out, _ = run(["sweep", "--n", "1,2", "--q", "1,1.5"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert json.loads(lines[0].split("# config: ", 1)[1]) == {
+            "subcommand": "sweep",
+            "params": {"n": [1, 2], "alpha": [2.0], "q": [1.0, 1.5], "gamma": [1.0]},
+            "format": "csv",
+        }
+        rows = list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
+        assert [(row["n"], row["q"]) for row in rows] == [
+            ("1", "1.0"), ("1", "1.5"), ("2", "1.0"), ("2", "1.5")]
+
     def test_small_grid(self, capsys):
         code, out, _ = run(
             ["sweep", "--n", "1,2", "--alpha", "2", "--q", "1,1.5", "--gamma", "0.5,1,2"], capsys
@@ -687,6 +709,19 @@ class TestSampleTail:
 
 
 class TestMinimizeCommand:
+    def test_config_echoes_no_gamma(self, capsys):
+        # minimize parses no --gamma, so its params hold none
+        code, out, _ = run(["minimize", "--moment", "1", "--nodes", "201"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "subcommand": "minimize",
+            "params": {"n": 1, "alpha": 2.0, "q": 1.0},
+            "format": "json",
+            "moment": 1.0,
+            "nodes": 201,
+            "init": "exponential",
+        }
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             ["minimize", "--n", "1", "--alpha", "2", "--q", "1", "--moment", "1",

@@ -354,3 +354,35 @@ class TestMeasureSetInvariants:
         d = ms.as_dict()
         assert d["Mq"] == pytest.approx(0.6)
         assert d["params"]["beta"] == pytest.approx(2.0)
+
+
+_GAUSS = radial_density(QGaussianParams(n=1, alpha=2.0, q=1.0))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: RadialDensity(0, _GAUSS.profile), DomainError,
+                 "dim must be an integer >= 1, got 0", id="dim"),
+    pytest.param(lambda: RadialDensity(1, _GAUSS.profile, support_hint=0.0), DomainError,
+                 "support_hint must be positive (possibly inf)", id="support_hint"),
+    pytest.param(lambda: quad_Mq(_GAUSS, -0.5), DomainError,
+                 "quad_Mq requires q >= 0, got -0.5", id="quad_Mq"),
+    pytest.param(lambda: quad_moment(_GAUSS, 0), DomainError,
+                 "quad_moment requires alpha > 0, got 0", id="quad_moment"),
+    pytest.param(lambda: quad_fisher(_GAUSS, 1.0, 1.0), DomainError,
+                 "quad_fisher requires beta > 1, got 1.0", id="quad_fisher"),
+    pytest.param(lambda: measure_all(_GAUSS, 1.0, 1.0), DomainError,
+                 "measure_all requires alpha > 1 so the conjugate exponent beta is finite, "
+                 "got alpha = 1", id="measure_all"),
+    pytest.param(lambda: gaussian_mixture(1, []), DomainError,
+                 "mixture needs at least one component", id="mixture"),
+    pytest.param(lambda: truncated_exponential(1, rate=0), DomainError,
+                 "rate and radius must be positive", id="truncated_exponential"),
+    pytest.param(lambda: table_profile(1, [0, 2, 1, 3], [1, 1, 1, 0]), DomainError,
+                 "radii must start at 0 and increase strictly", id="table_radii"),
+    pytest.param(lambda: table_profile(1, [0, 1, 2, 3], [1, -1, 1, 0]), DomainError,
+                 "profile values must be nonnegative", id="table_values"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -337,3 +337,30 @@ class TestScaling:
             rhs_b = (p.n / p.q) * mb.Mq
             rhs_s = (p.n / p.q) * ms.Mq
             assert lhs_b / rhs_b == pytest.approx(lhs_s / rhs_s, rel=1e-9)
+
+
+_N2 = QGaussianParams(n=2, alpha=2.0, q=1.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: QGaussianParams(n=1, alpha=2.0, q=0.5).k, DomainError,
+                 "profile exponent k is infinite at q = 1 - 1/beta", id="k"),
+    pytest.param(lambda: mu_pnu(_N2, -1.0, 1.0, 0.0), DomainError,
+                 "mu_pnu requires p >= 0, got -1.0", id="mu_pnu_p"),
+    pytest.param(lambda: mu_pnu(_N2, 0.0, -2.0, 1.0), DivergenceError,
+                 "mu_pnu branch s > 0 requires nu/s + 1 > 0, got nu=-2, s=1", id="mu_pnu_compact"),
+    pytest.param(lambda: mu_pnu(_N2, 0.0, 0.0, 0.0), DivergenceError,
+                 "mu_pnu branch s = 0 requires nu > 0, got nu=0", id="mu_pnu_exponential"),
+    pytest.param(lambda: radial_profile(_N2, -1.0), DomainError,
+                 "radius must be nonnegative", id="radial_profile"),
+    pytest.param(lambda: rescale(_N2, 0.0), DomainError,
+                 "gamma_new must be finite and > 0, got 0.0", id="rescale"),
+    pytest.param(lambda: density(_N2, [1.0]), DomainError,
+                 "point has 1 coordinates, expected n = 2", id="density_size"),
+    pytest.param(lambda: density(_N2, [1.0, math.nan]), DomainError,
+                 "point coordinates must be finite", id="density_nan"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

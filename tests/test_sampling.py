@@ -13,6 +13,7 @@ from qginfo.qgaussian import QGaussianParams, closed_moment_alpha
 from qginfo.sampling import (
     MAX_COORDINATES,
     RNG_ALGORITHM,
+    SampleBatch,
     empirical_moment,
     radial_cdf,
     radial_quantile,
@@ -271,3 +272,19 @@ class TestSample:
         b = sample(p, 16, seed=seed)
         assert a.points.tobytes() == b.points.tobytes()
         assert np.all(np.isfinite(a.points))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: radial_cdf(CASES[0], -1.0), "radius must be nonnegative", id="cdf"),
+    pytest.param(lambda: radial_tail_mass(CASES[0], -1.0), "radius must be nonnegative",
+                 id="tail_mass"),
+    pytest.param(lambda: empirical_moment(sample(CASES[1], 3, seed=0), 0.0),
+                 "alpha must be positive, got 0.0", id="moment_alpha"),
+    pytest.param(lambda: empirical_moment(
+        SampleBatch(params_echo=CASES[1], seed=0, points=np.zeros((3, 2)), count=2), 2.0),
+        "batch is empty or inconsistent", id="moment_batch"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -303,3 +303,13 @@ class TestSolverRecovery:
         problem = make_problem(2, 2.93, 0.41, 0.877, num_nodes=101)
         with pytest.raises(ConvergenceError):
             solve(problem, init="flat")
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: make_problem(1, 2.0, 1.0, 1.0, num_nodes=49),
+                 "need at least 50 radial nodes", id="num_nodes"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
