@@ -102,9 +102,11 @@ def _json_text(obj) -> str:
         raise DivergenceError(f"the report holds a non-finite value ({exc})") from None
 
 
-def _csv_text(config: dict, header, rows) -> str:
+def _csv_text(config: dict, header, rows, skipped=()) -> str:
     buf = io.StringIO()
     buf.write(f"# config: {json.dumps(config, default=float)}\n")
+    if skipped:
+        buf.write(f"# skipped: {json.dumps(skipped)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
@@ -275,7 +277,7 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = tuple(args.ineq or INEQUALITY_NAMES)
+    names = tuple(dict.fromkeys(args.ineq or INEQUALITY_NAMES))
     for flag, tol in (("--rel-tol", args.rel_tol), ("--eq-tol", args.eq_tol)):
         if not (math.isfinite(tol) and tol >= 0):
             raise DomainError(f"{flag} must be finite and >= 0, got {tol}")
@@ -283,9 +285,9 @@ def cmd_verify(args) -> int:
     config = _config(args, format=args.format, density=args.density,
                      tolerances={"rel_tol": args.rel_tol, "eq_tol": args.eq_tol},
                      inequalities=list(names))
-    # --all runs whatever applies and records why the rest do not; an explicit
-    # request that does not apply is an error raised by check_all
-    skipped = inapplicable(density, args.alpha, args.q, names) if args.all else {}
+    # with no --ineq, whatever applies runs and the rest are skipped with their
+    # reasons; a named check that does not apply is an error raised by check_all
+    skipped = {} if args.ineq else inapplicable(density, args.alpha, args.q, names)
     reports = check_all(density, args.alpha, args.q, rel_tol=args.rel_tol, eq_tol=args.eq_tol,
                         names=[name for name in names if name not in skipped])
     payload = {
@@ -296,7 +298,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         header = ["name", "lhs", "rhs", "ratio", "deficit", "passes", "equality"]
         rows = ([r.name, r.lhs, r.rhs, r.ratio, r.deficit, r.passes, r.equality] for r in reports)
-        _emit(_csv_text(config, header, rows), args.out)
+        _emit(_csv_text(config, header, rows, payload["skipped"]), args.out)
     else:
         _emit(_json_text(payload), args.out)
     if any(not r.passes for r in reports):
@@ -458,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="qgaussian | mixture:w,0,var;... | uniform-ball[:radius] | profile:path")
     selection = p.add_mutually_exclusive_group()
     selection.add_argument("--ineq", action="append", choices=INEQUALITY_NAMES, default=None)
-    selection.add_argument("--all", action="store_true", help="run every applicable inequality")
+    selection.add_argument("--all", action="store_true",
+                           help="the default: run every check that applies, skip the rest")
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--eq-tol", type=float, default=DEFAULT_EQ_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")

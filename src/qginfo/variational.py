@@ -35,7 +35,7 @@ import numpy as np
 from scipy import linalg
 
 from . import validity
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .qgaussian import (
     QGaussianParams,
     closed_fisher,
@@ -146,6 +146,14 @@ class VariationalSolution:
     problem: VariationalProblem
 
 
+def _domain_radius(R: float) -> float:
+    """R, once it is checked to be finite and positive, as a grid needs."""
+    if not (math.isfinite(R) and R > 0):
+        raise DivergenceError(f"the extremal member's domain radius is {R!r}, "
+                              "not finite and positive in floats")
+    return R
+
+
 def make_problem(n: int, alpha: float, q: float, m_target: float, *,
                  num_nodes: int = 1601) -> VariationalProblem:
     """Set up the discretized problem for a prescribed moment m_target.
@@ -173,9 +181,10 @@ def make_problem(n: int, alpha: float, q: float, m_target: float, *,
     if math.isfinite(params.support_radius):
         R = 1.05 * params.support_radius
     else:
-        R = float(radial_quantile(params, 0.999))
+        R = _domain_radius(float(radial_quantile(params, 0.999)))
         while radial_tail_mass(params, R) > 1e-10:
             R *= 1.5
+    R = _domain_radius(R)
     grid = np.linspace(0.0, float(R), int(num_nodes))
     return VariationalProblem(
         n=n, alpha=alpha, beta=beta, q=q, m_target=float(m_target),
@@ -530,11 +539,11 @@ def euler_lagrange_residual(params: QGaussianParams) -> tuple:
     term over the grid.
     """
     n, alpha, beta, k = params.n, params.alpha, params.beta, params.k
-    a, b, A = analytic_multipliers(params)
     if math.isfinite(params.support_radius):
-        rmax = params.support_radius
+        rmax = _domain_radius(params.support_radius)
     else:
-        rmax = float(radial_quantile(params, 0.999))
+        rmax = _domain_radius(float(radial_quantile(params, 0.999)))
+    a, b, A = analytic_multipliers(params)
 
     def u_value(r: np.ndarray) -> np.ndarray:
         return radial_profile(params, r) ** (1.0 / k)

@@ -26,8 +26,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_outcomes):
         outcome, name = _outcomes[num]
         status = "PASS" if outcome == "passed" else outcome.upper().replace("FAILED", "FAIL")
-        if status == "FAILED":
-            status = "FAIL"
         label = name.replace(f"test_criterion_{num:02d}_", "").replace("_", " ")
         terminalreporter.write_line(f"criterion {num:02d}: {status} - {label}")
 

@@ -350,6 +350,50 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--density", "uniform-ball"],
+        ["--n", "2", "--density", "uniform-ball"],
+        ["--n", "3", "--density", "uniform-ball"],
+        ["--alpha", "0.5", "--density", "mixture:1,0,1"],
+        ["--n", "3", "--q", "0.62"],
+        ["--n", "2", "--q", "1.2", "--density", "qgaussian"],
+    ])
+    def test_no_selection_is_all(self, argv, capsys):
+        # with no --ineq every check that applies runs and the rest are
+        # skipped, which is what --all spells out (and what the uniform-ball
+        # test above pins at n = 2)
+        assert run(["verify", *argv], capsys) == run(["verify", "--all", *argv], capsys)
+
+    def test_repeated_ineq_runs_once(self, capsys):
+        code, out, _ = run(["verify", "--ineq", "stam", "--ineq", "moment-entropy",
+                            "--ineq", "stam"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["inequalities"] == ["stam", "moment-entropy"]
+        assert [r["name"] for r in payload["reports"]] == ["stam", "moment-entropy"]
+
+    @pytest.mark.parametrize("argv,skipped", [
+        (["--n", "2", "--density", "uniform-ball"], ["fisher-moment-entropy", "stam",
+                                                     "cramer-rao"]),
+        (["--alpha", "0.5", "--density", "mixture:1,0,1"], ["fisher-moment-entropy", "stam",
+                                                            "cramer-rao"]),
+        (["--n", "2", "--alpha", "0.5", "--q", "0.7", "--density", "mixture:1,0,1"],
+         list(INEQUALITY_NAMES)),
+    ])
+    def test_csv_names_the_skipped_checks(self, argv, skipped, capsys):
+        # with nothing skipped no line is added, as _FROZEN's verify report pins
+        code, out, _ = run(["verify", "--format", "csv", *argv], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# config: ") and lines[1].startswith("# skipped: ")
+        entries = json.loads(lines[1][len("# skipped: "):])
+        assert [entry["name"] for entry in entries] == skipped
+        assert all(entry["reason"] for entry in entries)
+        rows = list(csv.reader(io.StringIO("\n".join(lines[2:]))))
+        assert rows[0][0] == "name"
+        assert [row[0] for row in rows[1:]] == [
+            name for name in INEQUALITY_NAMES if name not in skipped]
+
     def test_all_and_ineq_exclude_each_other(self, capsys):
         argv = ["verify", "--all", "--ineq", "stam", "--n", "1", "--q", "1",
                 "--density", "mixture:0.5,0,1;0.5,0,4"]
@@ -709,6 +753,20 @@ class TestSampleTail:
 
 
 class TestMinimizeCommand:
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--alpha", "1e5", "--q", "0.9", "--moment", "1", "--nodes", "50"],
+        ["--n", "1", "--alpha", "1e6", "--q", "1", "--moment", "1"],
+    ])
+    def test_zero_domain_radius_exits_3_promptly(self, argv):
+        # a process of its own, so that a search for the domain radius that
+        # never ends fails the test instead of hanging the suite
+        src = os.path.dirname(os.path.dirname(qginfo.cli.__file__))
+        done = subprocess.run([sys.executable, "-m", "qginfo.cli", "minimize", *argv],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "domain radius is 0.0" in done.stderr
+
     def test_config_echoes_no_gamma(self, capsys):
         # minimize parses no --gamma, so its params hold none
         code, out, _ = run(["minimize", "--moment", "1", "--nodes", "201"], capsys)
@@ -771,9 +829,10 @@ _DENSITIES = st.one_of(
     st.tuples(_FLOATS, _FLOATS).map(lambda t: f"mixture:0.5,0,1;{t[0]},0,{t[1]}"),
     _FLOATS.map(lambda r: f"uniform-ball:{r}"),
 )
-_SELECTION = st.one_of(st.just("--all"), st.sampled_from(INEQUALITY_NAMES).map("--ineq={}".format))
+_SELECTION = st.one_of(st.just([]), st.just(["--all"]),
+                       st.sampled_from(INEQUALITY_NAMES).map(lambda name: [f"--ineq={name}"]))
 _VERIFY = st.tuples(_params(), _DENSITIES, _SELECTION, _FLOATS, _FLOATS).map(
-    lambda t: ["verify", *t[0], f"--density={t[1]}", t[2], f"--rel-tol={t[3]}",
+    lambda t: ["verify", *t[0], f"--density={t[1]}", *t[2], f"--rel-tol={t[3]}",
                f"--eq-tol={t[4]}"])
 
 _STEPS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.1, 4.0)).map(repr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qginfo import variational
-from qginfo.errors import ConvergenceError, DomainError
+from qginfo.errors import ConvergenceError, DivergenceError, DomainError
 from qginfo.qgaussian import QGaussianParams, closed_fisher, closed_moment_alpha
 from qginfo.variational import (
     INITS,
@@ -118,6 +118,17 @@ class TestMakeProblem:
         # q at the divergence bound: no family member has a finite moment
         with pytest.raises(DomainError):
             make_problem(1, 2.0, 1.0 / 3.0, 1.0)
+
+    @pytest.mark.parametrize("n,alpha,q", [(1, 1e5, 0.9), (2, 1e5, 0.9), (3, 1e6, 0.9),
+                                           (1, 1e6, 1.0), (3, 1e7, 1.0), (2, 1e300, 1.0)])
+    def test_zero_domain_radius_is_divergence(self, n, alpha, q):
+        # the extremal member's 0.999 radial quantile is exactly 0.0 here, and
+        # growing it by 1.5 until the tail mass falls below 1e-10 never ends
+        with pytest.raises(DivergenceError, match="domain radius"):
+            make_problem(n, alpha, q, 1.0, num_nodes=50)
+        gamma = closed_moment_alpha(QGaussianParams(n=n, alpha=alpha, q=q))
+        with pytest.raises(DivergenceError, match="domain radius"):
+            euler_lagrange_residual(QGaussianParams(n=n, alpha=alpha, q=q, gamma=gamma))
 
 
 class TestSolve:
