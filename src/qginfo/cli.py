@@ -325,9 +325,12 @@ def _parse_grid(text: str, integer: bool = False) -> list:
                 raise DomainError(f"range spec {segment!r} must be finite")
             if step <= 0:
                 raise DomainError("range step must be positive")
-            count = math.floor((stop + 1e-9 - start) / step) + 1
-            if count > MAX_SWEEP_ROWS:
+            # compared before flooring: past float range the quotient is infinite
+            span = (stop + 1e-9 - start) / step
+            if span >= MAX_SWEEP_ROWS:
+                count = math.floor(span) + 1 if math.isfinite(span) else span
                 raise DomainError(f"range {segment!r} has {count} points, over {MAX_SWEEP_ROWS}")
+            count = math.floor(max(span, -1.0)) + 1
             values.extend(start + i * step for i in range(count))
         else:
             values.append(float(segment))

@@ -402,6 +402,8 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.size < 4 or v.shape != r.shape:
         raise DomainError("need matching 1-d tables with at least 4 points")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise DomainError("table radii and values must be finite")
     if r[0] != 0.0 or np.any(np.diff(r) <= 0):
         raise DomainError("radii must start at 0 and increase strictly")
     if np.any(v < 0):
@@ -410,8 +412,14 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
     # which no other path of the package needs
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(r, v, bc_type="natural")
-    dspline = spline.derivative()
+    # values near the float limit overflow the spline's slopes: scipy raises
+    # ValueError when its solve overflows, and numpy's warnings become errors
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            spline = CubicSpline(r, v, bc_type="natural")
+            dspline = spline.derivative()
+    except (FloatingPointError, ValueError):
+        raise DomainError("tabulated profile overflows its cubic spline") from None
     R = float(r[-1])
 
     def raw(rr):

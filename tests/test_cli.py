@@ -22,6 +22,7 @@ from qginfo.cli import FORK_MIN_COORDINATES, SAMPLE_BLOCK, main
 from qginfo.inequalities import INEQUALITY_NAMES
 from qginfo.qgaussian import QGaussianParams, radial_profile
 from qginfo.sampling import sample
+from qginfo.variational import INITS
 
 
 def run(argv, capsys):
@@ -530,6 +531,9 @@ class TestSweepCommand:
         {"--q": "0:1:1e-12"},
         {"--q": "0.9:1.1:1e-5", "--gamma": "1:2:1e-4"},
         {"--n": "inf"},
+        {"--q": "1:1e300:1e-300"},
+        {"--n": "1:1e300:1e-300"},
+        {"--q": "1e308:-1e308:1e-300"},
     ])
     def test_unbounded_or_non_finite_grid_rejected(self, grid, capsys):
         argv = ["sweep", "--n", "1", "--alpha", "2", "--q", "1", "--gamma", "1"]
@@ -857,6 +861,12 @@ _SAMPLE = _SIZES.flatmap(lambda size: st.tuples(
     _params(st.just(str(size[0])), size[2]), st.just(size[1]), st.integers(-1, 2**64))).map(
     lambda t: ["sample", *t[0], f"--count={t[1]}", f"--seed={t[2]}"])
 
+# --nodes below and at the 50-node floor, a small solve, and over MAX_NODES
+_NODES = st.sampled_from((-1, 49, 50, 101, 10**6))
+_MINIMIZE = st.tuples(_DIMS, _FLOATS, _FLOATS, _FLOATS, _NODES, st.sampled_from(INITS)).map(
+    lambda t: ["minimize", f"--n={t[0]}", f"--alpha={t[1]}", f"--q={t[2]}", f"--moment={t[3]}",
+               f"--nodes={t[4]}", f"--init={t[5]}"])
+
 
 def _exit_code(argv) -> int:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
@@ -866,7 +876,7 @@ def _exit_code(argv) -> int:
             return exc.code
 
 
-@given(st.one_of(_MEASURES, _VERIFY, _SWEEP, _SAMPLE))
+@given(st.one_of(_MEASURES, _VERIFY, _SWEEP, _SAMPLE, _MINIMIZE))
 @settings(derandomize=True, max_examples=300, deadline=None)
 @example(["measures", "--gamma", "1e-320"])
 @example(["measures", "--n", "400"])
@@ -874,6 +884,8 @@ def _exit_code(argv) -> int:
 @example(["verify", "--all", "--alpha", "1.0000001", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--q", "1e6", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--density", "uniform-ball:1e300"])
+@example(["minimize", "--n", "2", "--alpha", "1e300", "--q", "1", "--moment", "1"])
+@example(["minimize", "--moment", "1", "--nodes", "50", "--init", "flat"])
 def test_exit_code_contract_holds_on_any_input(argv):
     assert _exit_code(argv) in (0, 2, 3, 4), argv
 

@@ -269,6 +269,20 @@ class TestFactories:
             table_profile(1, [0.0, 1.0], [1.0])
         with pytest.raises(DomainError):
             table_profile(1, [0.0, 1.0, 0.5], [1.0, 0.5, 0.7])
+        # non-finite entries, and values whose spline slopes overflow, are
+        # rejected in the package's own words (scipy's warnings are errors here)
+        r = np.linspace(0.0, 4.0, 401)
+        values = np.exp(-r * r)
+        for radii, table, message in (
+            (r, np.where(r == 0.05, math.nan, values), "must be finite"),
+            (r, np.where(r == 0.05, math.inf, values), "must be finite"),
+            (np.append(r, math.inf), np.append(values, 0.0), "must be finite"),
+            (np.where(r == 0.05, math.nan, r), values, "must be finite"),
+            (r, 1e308 * values, "overflows its cubic spline"),
+            (np.linspace(0.0, 1e-300, 401), 1e300 * values, "overflows its cubic spline"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                table_profile(1, radii, table)
 
 
 class TestFisherEdgeCases:
