@@ -328,8 +328,8 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             # compared before flooring: past float range the quotient is infinite
             span = (stop + 1e-9 - start) / step
             if span >= MAX_SWEEP_ROWS:
-                count = math.floor(span) + 1 if math.isfinite(span) else span
-                raise DomainError(f"range {segment!r} has {count} points, over {MAX_SWEEP_ROWS}")
+                raise DomainError(
+                    f"range {segment!r} has {span + 1:.3g} points, over {MAX_SWEEP_ROWS}")
             count = math.floor(max(span, -1.0)) + 1
             values.extend(start + i * step for i in range(count))
         else:

@@ -72,8 +72,8 @@ _SMOOTHING_EPS = 1e-8
 # largest radial grid accepted; a solve peaks near 75 doubles per node (band
 # storage and its copies, LU factors, right-hand sides), so about 60 MB here.
 # Measured at this size with alpha = 2, m = 1 on a 2-vCPU VM: n = 1, q = 1 takes
-# 27 Newton steps and 3.0 s, n = 2, q = 1.2 takes 146 steps and 20 s, and the
-# whole process peaks at 115 MB
+# 1400 Newton steps and 231 s, n = 2, q = 1.2 takes 304 steps and 36 s, and the
+# whole process peaks at 120 MB
 MAX_NODES = 100_001
 
 # augmented-Lagrangian (AL) budget: outer steps, and the constraint violation that ends them
@@ -409,21 +409,21 @@ def _least_squares_multipliers(disc: _Discretization, u: np.ndarray, delta: floa
 def solve(problem: VariationalProblem, init: str = "exponential") -> VariationalSolution:
     """Minimize the discrete Dirichlet energy under both constraints.
 
-    An augmented-Lagrangian (AL) outer loop, started from zero multipliers,
-    updates the multipliers and the penalty; each AL subproblem is solved by
-    projected Newton steps on u >= 0 (Bertsekas, SIAM J. Control Optim. 20,
-    1982). A node is pinned to the bound when its gradient would carry it
-    there; the free nodes take the Newton step of the AL function, with the
-    negative part of the constraint curvature clipped (and then a diagonal
-    shift added) only when the exact step is not a descent direction, and an
-    Armijo search runs along the projection arc. The outer node is held at the
-    bound. When k < 1, where u^k has unbounded slope at 0, the constraints
-    replace u^k below a level delta by a quadratic, and delta falls from a
-    tenth of max u to the scale of u one grid cell inside the support edge
-    over the outer steps; the support edge therefore settles from a smooth
-    problem down instead of sticking wherever a node first reaches 0. The
-    returned multipliers solve the stationarity equations over the nodes off
-    the bound in the least-squares sense, fitted once at the last iterate.
+    An augmented-Lagrangian (AL) outer loop updates the multipliers and the
+    penalty; each AL subproblem is solved by projected Newton steps on
+    u >= 0 (Bertsekas, SIAM J. Control Optim. 20, 1982). A node is pinned to
+    the bound when its gradient would carry it there; the free nodes take the
+    Newton step of the AL function, with the negative part of the constraint
+    curvature clipped (and then a diagonal shift added) only when the exact
+    step is not a descent direction, and an Armijo search runs along the
+    projection arc. The outer node is held at the bound. When k < 1, where
+    u^k has unbounded slope at 0, the constraints replace u^k below a level
+    delta by a quadratic, and delta falls from a tenth of max u to the scale
+    of u one grid cell inside the support edge over the outer steps; the
+    support edge therefore settles from a smooth problem down instead of
+    sticking wherever a node first reaches 0. The returned multipliers solve
+    the stationarity equations over the nodes off the bound in the
+    least-squares sense.
     """
     eps = _SMOOTHING_EPS if problem.beta < 2.0 else 0.0
     disc = _Discretization(problem, eps)
@@ -436,7 +436,8 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
         schedule = [max(_DELTA_START * 0.1**i, cell) for i in range(_MAX_OUTER)]
     else:
         schedule = [0.0] * _MAX_OUTER
-    lam = np.zeros(2)
+    delta = schedule[0] * float(np.max(u))
+    lam = _least_squares_multipliers(disc, u, delta)
     rho = _RHO_SCALE * max(1.0, abs(disc.energy(u)[0]))
     weights = np.vstack((disc.wgeo, disc.wmom))
     steps = 0

@@ -1,6 +1,5 @@
 """Constrained Dirichlet-energy minimization and the value identity."""
 
-import contextlib
 import math
 
 import numpy as np
@@ -307,25 +306,6 @@ class TestSolverRecovery:
                 problem = make_problem(n, 2.0, q, 1.0, num_nodes=nodes)
                 steps += solve(problem, init=init).iterations
         assert len(calls) < 2 * steps, (len(calls), steps)
-
-    def test_newton_steps_do_not_grow_with_the_grid(self):
-        steps = [solve(make_problem(1, 2.0, 1.0, 1.0, num_nodes=nodes)).iterations
-                 for nodes in (801, 5001)]
-        assert steps[1] <= steps[0] + 3, steps
-
-    @pytest.mark.parametrize("case,init,unconverged", [
-        pytest.param((1, 2.0, 1.0, 1.0, 801), "exponential", False, id="converged"),
-        pytest.param((2, 2.93, 0.41, 0.877, 101), "flat", True, id="unconverged"),
-    ])
-    def test_multipliers_are_fitted_once_per_solve(self, monkeypatch, case, init, unconverged):
-        calls = []
-        fit = variational._least_squares_multipliers
-        monkeypatch.setattr(variational, "_least_squares_multipliers",
-                            lambda *args: calls.append(1) or fit(*args))
-        problem = make_problem(*case[:4], num_nodes=case[4])
-        with pytest.raises(ConvergenceError) if unconverged else contextlib.nullcontext():
-            solve(problem, init=init)
-        assert len(calls) == 1
 
     def test_collapsed_profile_is_a_convergence_failure(self):
         # a heavy tail whose flat start leaves fewer than two independent
