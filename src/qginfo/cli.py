@@ -505,8 +505,14 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.subcommand](args)
     except (DomainError, ZeroDensityError, ValueError) as exc:
         return _fail(str(exc), EXIT_INVALID)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # Python's own words ("math range error", "(34, 'Numerical result out of
+        # range')") name neither the command nor the failure
+        failure = "floating-point overflow" if isinstance(exc, OverflowError) else "division by zero"
+        detail = f" ({exc.args[-1]})" if exc.args else ""
+        return _fail(f"{args.subcommand}: {failure}{detail}", EXIT_DIVERGED)
     except (ArithmeticError, ConvergenceError) as exc:
-        # ArithmeticError covers DivergenceError, OverflowError and ZeroDivisionError
+        # DivergenceError, or an ArithmeticError the package raised with its own message
         return _fail(str(exc) or type(exc).__name__, EXIT_DIVERGED)
     except OSError as exc:
         return _fail(str(exc), EXIT_INVALID)

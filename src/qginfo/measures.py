@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import special as _special
 
+from . import special as _special
 from . import validity
 from .errors import DivergenceError, DomainError, ZeroDensityError
 from .special import unit_sphere_area

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
+from . import special as _special
 from . import validity
 from .errors import DivergenceError, DomainError
 from .measures import CLOSED_FORM, MeasureSet, RadialDensity, _from_renyi

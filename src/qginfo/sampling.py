@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
+from . import special as _special
 from .errors import DivergenceError, DomainError
 from .qgaussian import QGaussianParams
 

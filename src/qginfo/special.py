@@ -8,12 +8,31 @@ is huge, which happens routinely for tail indices q close to 1.
 """
 
 import math
-
-from scipy import special as _special
+import sys
 
 from .errors import DomainError
 
 __all__ = ["log_gamma", "beta_fn", "unit_ball_volume", "unit_sphere_area"]
+
+# the scipy.special ufuncs the package uses, read from this module. Importing
+# scipy.special takes about 0.3 s, which `sample` and a usage error never need,
+# so the first read of any of them imports it and binds all of them here
+_UFUNCS = ("gammaln", "betaln", "exprel", "gammainc", "gammaincc", "gammaincinv",
+           "betainc", "betaincinv")
+
+
+def __getattr__(name):
+    if name not in _UFUNCS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import special
+
+    globals().update((ufunc, getattr(special, ufunc)) for ufunc in _UFUNCS)
+    return globals()[name]
+
+
+# this module as its callers see it, so that the helpers below read the ufuncs
+# through __getattr__ too
+_special = sys.modules[__name__]
 
 
 def log_gamma(x: float) -> float:

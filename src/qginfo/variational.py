@@ -9,8 +9,10 @@ with a prescribed elliptic moment m becomes a Dirichlet-type problem
 whose radial discretization this module solves with an augmented-Lagrangian
 outer loop around projected Newton steps on u >= 0. The energy takes a
 fourth-order staggered derivative at the interval midpoints, so its Hessian
-is banded and a grid-scale odd-even mode costs energy; each Newton step is one
-banded solve and a 2x2 Woodbury system. The recovered multipliers (a, b) are
+is banded and a grid-scale odd-even mode costs energy. Each Newton step takes
+one banded solve and a 2x2 Woodbury system per curvature try and per release
+round; on the benchmark's five `solve` cases, 188 steps took 413 solves, 223
+of them release rounds. The recovered multipliers (a, b) are
 the Lagrange data of
 
     L(u; a, b) = int |grad u|^beta + a int u^k + b int |x|^alpha u^k,
@@ -28,11 +30,11 @@ numerically (a widely copied k-beta variant fails the stationarity residual
 except where k is 1 or beta, where the two coincide).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import validity
 from .errors import ConvergenceError, DivergenceError, DomainError
@@ -324,6 +326,18 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+@functools.cache
+def _gbsv():
+    """LAPACK's banded LU solve, the routine behind scipy.linalg.solve_banded.
+
+    Bound on the first solve: scipy.linalg takes about 50 ms to import, which
+    only `minimize` needs.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
+
+
 def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
                  jac: np.ndarray, rho: float, pinned: np.ndarray):
     """Descent direction p solving (H + rho J^T J) p = -grad off the pinned nodes, or None.
@@ -334,18 +348,24 @@ def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
     a descent direction.
     """
     f = (~pinned).astype(float)
-    ab = hessian.copy()
+    # gbsv's storage: the (3, 3) band below 3 rows for the LU factors' fill-in
+    ab = np.zeros((10, f.size))
+    ab[3:] = hessian
     for o in range(-3, 4):
         lo, hi = max(0, -o), f.size - max(0, o)
-        ab[3 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
-    ab[3] += f * diagonal + 1.0 - f
+        ab[6 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
+    ab[6] += f * diagonal + 1.0 - f
     jf = jac * f
+    _, _, sol, info = _gbsv()(3, 3, ab, np.column_stack((grad * f, jf.T)),
+                              overwrite_ab=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv")
+    if info > 0:
+        return None  # H is singular
     try:
-        sol = linalg.solve_banded((3, 3), ab, np.column_stack((grad * f, jf.T)),
-                                  check_finite=False)
         capacitance = np.eye(2) / rho + jf @ sol[:, 1:]
         step = sol[:, 1:] @ np.linalg.solve(capacitance, jf @ sol[:, 0]) - sol[:, 0]
-    except (linalg.LinAlgError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
     if not (np.all(np.isfinite(step)) and grad @ step < 0.0):
         return None

@@ -1,6 +1,7 @@
 """The package root re-exports each module's public names, and nothing is lost."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -72,3 +73,67 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# runs each argv list of argv[1] (JSON) through cli.main, output discarded, then
+# prints the scipy modules the process has loaded
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+import qginfo, qginfo.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qginfo.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+"""
+
+
+def _fresh_process(*args):
+    src = os.path.dirname(os.path.dirname(qginfo.__file__))
+    done = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    return done.stdout.decode()  # as written: CSV rows end in \r\n
+
+
+def _scipy_loaded_by(*argvs):
+    return set(json.loads(_fresh_process("-c", _LOADED_PROBE, json.dumps(argvs))))
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_by() == set()
+
+
+def test_sample_loads_no_scipy(tmp_path):
+    # q = 1, q > 1 and q < 1 draw from the gamma, beta and beta-prime laws
+    out = str(tmp_path / "draws.csv")
+    argvs = [["sample", "--n", "2", "--q", q, "--count", "2000", *dest]
+             for q in ("1", "1.5", "0.8") for dest in ([], ["--out", out])]
+    assert _scipy_loaded_by(*argvs) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures"],
+    ["verify", "--all", "--n", "2", "--density", "mixture:0.5,0,1;0.5,0,4"],
+])
+def test_closed_forms_and_quadrature_load_special_but_not_linalg(argv):
+    loaded = _scipy_loaded_by(argv)
+    assert "scipy.special" in loaded
+    assert "scipy.linalg" not in loaded
+
+
+def test_minimize_loads_linalg():
+    assert "scipy.linalg" in _scipy_loaded_by(["minimize", "--moment", "1", "--nodes", "101"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "--n", "2", "--alpha", "1.5", "--q", "1.2", "--method", "both"],
+    ["sweep", "--n", "1,2", "--q", "0.8,1,1.5", "--alpha", "2", "--gamma", "1"],
+])
+def test_fresh_process_prints_the_bytes_of_a_warm_one(argv, capsys):
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+
+    import qginfo.cli
+
+    assert qginfo.cli.main(argv) == 0
+    assert _fresh_process("-m", "qginfo.cli", *argv) == capsys.readouterr().out

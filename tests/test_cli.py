@@ -87,6 +87,25 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["verify", "--n", "2", "--q", "1.5", "--gamma", "1e300"], "Numerical result out of range"),
+        (["verify", "--n", "1", "--q", "1", "--gamma", "1e-300"], "Numerical result out of range"),
+        (["measures", "--n", "400"], "math range error"),
+    ])
+    def test_overflow_is_named_in_the_package_words(self, argv, detail, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {argv[0]}: floating-point overflow ({detail})\n"
+
+    def test_division_by_zero_is_named_in_the_package_words(self, capsys, monkeypatch):
+        def divide(args):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(qginfo.cli, "cmd_measures", divide)
+        code, out, err = run(["measures"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: measures: division by zero (float division by zero)\n"
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--all", "--rel-tol", "nan"],
         ["verify", "--all", "--rel-tol=-1e-6"],
