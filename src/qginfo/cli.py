@@ -114,9 +114,9 @@ def _csv_text(config: dict, header, rows, skipped=()) -> str:
 
 
 def _format_rows(block) -> str:
-    """CSV rows of a block of points, formatted a column at a time with repr."""
-    columns = [map(repr, block[:, j].tolist()) for j in range(block.shape[1])]
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+    """CSV rows of a block of points: one repr per cell, then each row's n cells joined."""
+    cells = map(repr, block.ravel().tolist())
+    return "\r\n".join(map(",".join, zip(*[cells] * block.shape[1]))) + "\r\n"
 
 
 def _row_blocks(points):
@@ -145,8 +145,8 @@ def _fork_rows(points, sink) -> int:
 def _sample_csv(config: dict, points):
     """The sample CSV in chunks: the preamble, then SAMPLE_BLOCK rows at a time.
 
-    Cells are formatted a column at a time with repr, which is what csv.writer
-    writes for a float; no float cell ever needs quoting. A batch of at least
+    Cells are formatted with repr, which is what csv.writer writes for a
+    float; no float cell ever needs quoting. A batch of at least
     FORK_MIN_COORDINATES coordinates is formatted on two cores where os.fork
     exists and no other thread runs (a forked worker could find another
     thread's lock held for good): a forked worker formats the rows after the
@@ -333,7 +333,10 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             count = math.floor(max(span, -1.0)) + 1
             values.extend(start + i * step for i in range(count))
         else:
-            values.append(float(segment))
+            value = float(segment)
+            if not math.isfinite(value):
+                raise DomainError(f"grid value {segment!r} must be finite")
+            values.append(value)
     if integer:
         out = []
         for v in values:

@@ -122,7 +122,8 @@ class _MeasureBackend:
                  params: QGaussianParams | None = None):
         self.f, self.params, self.alpha, self.q = f, params, alpha, q
         self.n = f.dim if f is not None else params.n
-        self.beta = math.inf if validity.conjugate(self.n, alpha, q) else alpha / (alpha - 1.0)
+        # no finite beta where alpha <= 1; the report echoes it as null
+        self.beta = None if validity.conjugate(self.n, alpha, q) else alpha / (alpha - 1.0)
         self.lam = self.n * (q - 1.0) + 1.0
         self.tag = CLOSED_FORM if params is not None else QUADRATURE
         self.gamma = params.gamma if params is not None else None

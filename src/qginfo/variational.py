@@ -11,9 +11,7 @@ outer loop around projected Newton steps on u >= 0. The energy takes a
 fourth-order staggered derivative at the interval midpoints, so its Hessian
 is banded and a grid-scale odd-even mode costs energy. Each Newton step takes
 one banded solve and a 2x2 Woodbury system per curvature try and per release
-round; on the benchmark's five `solve` cases, 188 steps took 413 solves, 223
-of them release rounds. The recovered multipliers (a, b) are
-the Lagrange data of
+round. The recovered multipliers (a, b) are the Lagrange data of
 
     L(u; a, b) = int |grad u|^beta + a int u^k + b int |x|^alpha u^k,
 
@@ -243,34 +241,31 @@ class _Discretization:
         return sum(self.stencil[o] * padded[o:o + m] for o in range(4))
 
     def energy(self, u: np.ndarray):
+        """Energy, its gradient, and W phi''(d), from which energy_hessian builds the Hessian."""
         d = self.derivative(u)
+        beta = self.beta
         if self.eps > 0.0:
-            base = d * d + self.eps * self.eps
-            phi = base ** (0.5 * self.beta)
-            dphi = self.beta * d * base ** (0.5 * self.beta - 1.0)
+            eps2 = self.eps * self.eps
+            base = d * d + eps2
+            phi = base ** (0.5 * beta)
+            dphi = beta * d * base ** (0.5 * beta - 1.0)
+            phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
         else:
             ad = np.abs(d)
-            phi = ad**self.beta
-            dphi = self.beta * np.sign(d) * ad ** (self.beta - 1.0)
+            phi = ad**beta
+            dphi = beta * np.sign(d) * ad ** (beta - 1.0)
+            phi2 = beta * (beta - 1.0) * ad ** (beta - 2.0)
         value = float(self.wmid @ phi)
         s = self.wmid * dphi
         grad = np.zeros(u.size + 2)
         for o in range(4):
             grad[o:o + s.size] += self.stencil[o] * s
-        return value, grad[1:-1]
+        return value, grad[1:-1], self.wmid * phi2
 
-    def energy_hessian(self, u: np.ndarray) -> np.ndarray:
-        """D^T diag(W phi''(d)) D of the smoothed energy, in the (3, 3) band storage of solve_banded."""
-        d = self.derivative(u)
-        beta, eps2 = self.beta, self.eps * self.eps
-        if eps2 > 0.0:
-            base = d * d + eps2
-            phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
-        else:
-            phi2 = beta * (beta - 1.0) * np.abs(d) ** (beta - 2.0)
-        curv = self.wmid * phi2
+    def energy_hessian(self, curv: np.ndarray) -> np.ndarray:
+        """D^T diag(curv) D in the (3, 3) band storage of solve_banded; curv is energy's W phi''(d)."""
         m = curv.size
-        band = np.zeros((7, u.size + 2))
+        band = np.zeros((7, m + 3))
         for o1 in range(4):
             for o2 in range(4):
                 band[3 + o1 - o2, o2:o2 + m] += curv * self.stencil[o1] * self.stencil[o2]
@@ -403,8 +398,10 @@ def _projected_newton_step(hessian: np.ndarray, curvature: np.ndarray, grad: np.
     return step, pinned
 
 
-def _least_squares_multipliers(disc: _Discretization, u: np.ndarray, delta: float) -> np.ndarray:
-    """(a, b) minimizing |grad E + a grad c_1 + b grad c_2| over the nodes off the bound.
+def _least_squares_multipliers(u: np.ndarray, grad_e: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """(a, b) minimizing |grad_e + a jac_1 + b jac_2| over the nodes off the bound.
+
+    ``grad_e`` is the energy gradient at u and ``jac`` the constraint Jacobian.
 
     Nodes within 1e-6 max u of the bound, where u^(k-1) is steep, are left
     out. The 2x2 normal equations of the unit-scaled constraint gradients are
@@ -412,8 +409,6 @@ def _least_squares_multipliers(disc: _Discretization, u: np.ndarray, delta: floa
     raises the process's peak memory by about 1 MB on its first call. When
     the two gradients are not independent off the bound, (0, 0) is returned.
     """
-    _, grad_e = disc.energy(u)
-    _, jac = disc.constraints(u, delta)
     free = u > 1e-6 * float(np.max(u))
     rows = jac[:, free]
     scale = np.sqrt(np.sum(rows * rows, axis=1))
@@ -457,24 +452,25 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     else:
         schedule = [0.0] * _MAX_OUTER
     delta = schedule[0] * float(np.max(u))
-    lam = _least_squares_multipliers(disc, u, delta)
-    rho = _RHO_SCALE * max(1.0, abs(disc.energy(u)[0]))
+    energy, grad_e, _ = disc.energy(u)
+    lam = _least_squares_multipliers(u, grad_e, disc.constraints(u, delta)[1])
+    rho = _RHO_SCALE * max(1.0, abs(energy))
     weights = np.vstack((disc.wgeo, disc.wmom))
     steps = 0
     previous_violation = math.inf
     converged = False
 
     def al_function(x):
-        e, ge = disc.energy(x)
+        e, ge, curv = disc.energy(x)
         c, jac = disc.constraints(x, delta)
         mu = lam + rho * c
-        return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, jac, mu
+        return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, jac, mu, c, curv
 
     for fraction in schedule:
         delta = fraction * float(np.max(u))
-        value, grad, jac, mu = al_function(u)
+        value, grad, jac, mu, c, curv = al_function(u)
         for _ in range(_MAX_NEWTON):
-            hessian = disc.energy_hessian(u)
+            hessian = disc.energy_hessian(curv)
             umax = float(np.max(u))
             # pin a node near the bound whose diagonal Newton step would reach it
             diagonal = hessian[3] + rho * np.sum(jac * jac, axis=0)
@@ -500,9 +496,9 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             else:
                 break
             u, value = trial, trial_value
-            grad, jac, mu = at_trial
+            grad, jac, mu, c, curv = at_trial
             steps += 1
-        c, _ = disc.constraints(u, delta)
+        # c and jac are the constraints at u, kept from its AL evaluation
         violation = float(np.max(np.abs(c)))
         lam = lam + rho * c
         if violation < _CONSTRAINT_TOL and fraction == schedule[-1]:
@@ -512,7 +508,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             rho = min(rho * 10.0, 1e12)
         previous_violation = violation
 
-    multipliers = _least_squares_multipliers(disc, u, delta)
+    multipliers = _least_squares_multipliers(u, disc.energy(u)[1], jac)
     solution = VariationalSolution(
         u_values=u,
         objective=float(disc.wmid @ np.abs(disc.derivative(u)) ** problem.beta),

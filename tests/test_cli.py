@@ -31,6 +31,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 class TestExitCodes:
     def test_measures_ok(self, capsys):
         code, out, _ = run(["measures", "--n", "1", "--alpha", "2", "--q", "1.5"], capsys)
@@ -349,6 +353,22 @@ class TestVerifyCommand:
         skipped = {s["name"] for s in payload["skipped"]}
         assert skipped == {"fisher-moment-entropy", "stam", "cramer-rao"}
 
+    @pytest.mark.parametrize("alpha", ["0.5", "1"])
+    @pytest.mark.parametrize("n,q,density,equality", [
+        ("1", "1", "mixture:1,0,1", False),
+        ("2", "1", "uniform-ball", False),
+        ("3", "0.9", "qgaussian", True),
+    ])
+    def test_no_finite_beta_echoes_null(self, alpha, n, q, density, equality, capsys):
+        # where alpha <= 1 there is no conjugate beta; the report stays strict JSON
+        code, out, _ = run(["verify", "--n", n, "--alpha", alpha, "--q", q,
+                            "--density", density], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=_refuse)
+        [report] = payload["reports"]
+        assert report["name"] == "moment-entropy" and report["equality"] is equality
+        assert report["params"]["beta"] is None
+
     def test_mixture_with_underflowing_tail(self, capsys):
         # far out, the profile underflows to 0 while its derivative is still subnormal
         code, out, _ = run(
@@ -553,6 +573,9 @@ class TestSweepCommand:
         {"--q": "1:1e300:1e-300"},
         {"--n": "1:1e300:1e-300"},
         {"--q": "1e308:-1e308:1e-300"},
+        {"--gamma": "inf"},
+        {"--q": "nan"},
+        {"--alpha": "1e400"},
     ])
     def test_unbounded_or_non_finite_grid_rejected(self, grid, capsys):
         argv = ["sweep", "--n", "1", "--alpha", "2", "--q", "1", "--gamma", "1"]
@@ -643,6 +666,17 @@ class TestSampleStreaming:
         assert code == 0
         assert path.read_bytes() == expected.encode("utf-8")
         assert json.loads(out)["config"] == config
+
+    @pytest.mark.parametrize("n,count", [(10_000, 3), (40_000, 2)])
+    def test_wide_sample_bytes_match_csv_writer(self, n, count, capsys):
+        # rows far wider than they are many; the second is over the fork
+        # threshold in coordinates but has too few rows to split
+        argv = ["sample", "--n", str(n), "--q", "1.2", "--count", str(count), "--seed", "5"]
+        config = {"subcommand": "sample", "params": {"n": n, "alpha": 2.0, "q": 1.2, "gamma": 1.0},
+                  "format": "csv", "seed": 5, "count": count, "rng": "PCG64"}
+        points = sample(QGaussianParams(n=n, alpha=2.0, q=1.2), count, 5).points
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out == _sample_oracle(config, points)
 
     def test_repr_format_switches(self, monkeypatch):
         # where repr changes notation, length or sign, across block boundaries
@@ -888,11 +922,24 @@ _MINIMIZE = st.tuples(_DIMS, _FLOATS, _FLOATS, _FLOATS, _NODES, st.sampled_from(
 
 
 def _exit_code(argv) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    """The exit code of argv; on exit 0 the JSON payload, or a CSV's JSON
+    preamble lines, must parse as strict JSON (no NaN or Infinity)."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             return exc.code
+    out.seek(0)
+    if code == 0 and out.read(1) == "#":
+        out.seek(0)
+        for line in out:
+            if not line.startswith("# "):
+                break
+            json.loads(line.partition(": ")[2], parse_constant=_refuse)
+    elif code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse)
+    return code
 
 
 @given(st.one_of(_MEASURES, _VERIFY, _SWEEP, _SAMPLE, _MINIMIZE))

@@ -1,5 +1,6 @@
 """Constrained Dirichlet-energy minimization and the value identity."""
 
+import collections
 import math
 
 import numpy as np
@@ -306,6 +307,28 @@ class TestSolverRecovery:
                 problem = make_problem(n, 2.0, q, 1.0, num_nodes=nodes)
                 steps += solve(problem, init=init).iterations
         assert len(calls) < 2 * steps, (len(calls), steps)
+
+    def test_each_point_forms_its_derivative_once(self, monkeypatch):
+        # the Newton step builds the Hessian from the curvature the energy
+        # evaluation returned, so D u is formed once per energy call, plus
+        # once per solve for the reported objective
+        calls = collections.Counter()
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in ("derivative", "energy", "constraints"):
+            method = getattr(variational._Discretization, name)
+            monkeypatch.setattr(variational._Discretization, name, counted(name, method))
+        for n, q, nodes in SOLVE_WORKLOAD_CASES:
+            for init in INITS:
+                solve(make_problem(n, 2.0, q, 1.0, num_nodes=nodes), init=init)
+        solves = len(SOLVE_WORKLOAD_CASES) * len(INITS)
+        assert calls["derivative"] <= calls["energy"] + solves, calls
+        assert calls["constraints"] <= calls["energy"], calls
 
     def test_collapsed_profile_is_a_convergence_failure(self):
         # a heavy tail whose flat start leaves fewer than two independent
