@@ -392,11 +392,78 @@ def truncated_exponential(dim: int, rate: float = 1.0, radius: float = 8.0) -> R
     )
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The natural cubic spline through (x, y): two functions of r, its value and (value, slope).
+
+    Both are scipy's CubicSpline(x, y, bc_type="natural") and its derivative(),
+    bit for bit (de Boor, *A Practical Guide to Splines*, 1978): the knot
+    slopes solve scipy's tridiagonal system, the coefficients are
+    CubicHermiteSpline's, and each polynomial is summed in PPoly's order from
+    0.0, on [x_i, x_i+1) found as PPoly finds it, the end cubics extended past
+    the table. Raises ValueError where scipy does: on a singular system or on
+    slopes that are not finite.
+    """
+    # on first use: scipy.linalg takes about 50 ms to import, which only
+    # tables and the solver need
+    from scipy.linalg import get_lapack_funcs
+
+    dx, dy = np.diff(x), np.diff(y)
+    slope = dy / dx
+    pad = np.concatenate(([0.0], dx, [0.0]))
+    b = 3.0 * np.concatenate((dy[:1], dx[1:] * slope[:-1] + dx[:-1] * slope[1:], dy[-1:]))
+    # f'' = 0 at the ends enters scipy's system as -+0.0 dx^2/2, which overflows where dx^2 does
+    b[[0, -1]] += np.array([-0.0, 0.0]) * dx[[0, -1]] ** 2
+    # LAPACK's tridiagonal solve, the one scipy.linalg.solve_banded((1, 1), ...) makes
+    *_, s, info = get_lapack_funcs(("gtsv",), dtype=np.float64)[0](
+        np.append(dx[1:], dx[-1]), 2.0 * (pad[:-1] + pad[1:]), np.append(dx[0], dx[:-1]), b)
+    if info != 0 or not np.all(np.isfinite(s)):
+        raise ValueError("the spline's knot slopes are not finite")
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c0, c1 = t / dx, (slope - s[:-1]) / dx - t
+    # per interval: its knot, the cubic's coefficients and the slope's; PPoly's
+    # sums start from 0.0, folded into the constant terms (it turns -0.0 into 0.0)
+    knots, c3, c2, d2, d1, d0 = x[:-1], 0.0 + y[:-1], s[:-1], 0.0 + s[:-1], 2.0 * c1, 3.0 * c0
+    inner = x[1:-1]
+
+    def at(r):
+        # the function that reads a per-interval array at each r's interval,
+        # the one with as many inner knots at or below r. Sorted radii are
+        # counted per interval instead of searched for one by one once they
+        # outnumber the inner knots by about 400, where counting was measured
+        # to pay for its fixed cost (tables of 26 to 1601 rows)
+        if isinstance(r, np.ndarray) and r.ndim == 1 and r.size > inner.size + 400 \
+                and (r[1:] >= r[:-1]).all():
+            edges = np.concatenate(([0], r.searchsorted(inner), [r.size]))
+            counts = edges[1:] - edges[:-1]
+            return lambda column: column.repeat(counts)
+        i = inner.searchsorted(r, "right")
+        return lambda column: column.take(i)
+
+    def cubic(read, h, hh):
+        return ((read(c3) + read(c2) * h) + read(c1) * hh) + read(c0) * (hh * h)
+
+    def value(r):
+        read = at(r)
+        h = r - read(knots)
+        return cubic(read, h, h * h)
+
+    def value_and_slope(r):
+        read = at(r)
+        h = r - read(knots)
+        hh = h * h
+        return cubic(read, h, hh), (read(d2) + read(d1) * h) + read(d0) * hh
+
+    return value, value_and_slope
+
+
 def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table") -> RadialDensity:
     """Cubic-spline density built from tabulated (r, f_r) pairs.
 
     The table must start at r = 0 with strictly increasing radii; the profile
-    is renormalized to unit mass and clamped to 0 beyond the last radius.
+    is renormalized to unit mass and clamped to 0 beyond the last radius. The
+    spline is scipy's natural cubic spline, bit for bit, computed in-package
+    (``_natural_spline``): importing it from scipy.interpolate would also load
+    scipy.optimize, scipy.sparse, scipy.spatial and scipy.fft, about 26 MB.
     """
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -408,16 +475,11 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
         raise DomainError("radii must start at 0 and increase strictly")
     if np.any(v < 0):
         raise DomainError("profile values must be nonnegative")
-    # imported here, its only use: scipy.interpolate imports scipy.optimize,
-    # which no other path of the package needs
-    from scipy.interpolate import CubicSpline
-
-    # values near the float limit overflow the spline's slopes: scipy raises
-    # ValueError when its solve overflows, and numpy's warnings become errors
+    # values near the float limit overflow the spline's slopes: numpy's
+    # warnings become errors, and slopes that are not finite raise ValueError
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            spline = CubicSpline(r, v, bc_type="natural")
-            dspline = spline.derivative()
+            spline, spline_and_slope = _natural_spline(r, v)
     except (FloatingPointError, ValueError):
         raise DomainError("tabulated profile overflows its cubic spline") from None
     R = float(r[-1])
@@ -435,7 +497,8 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
         return raw(rr) / mass
 
     def derivative(rr):
-        return dspline(rr) / mass * (raw(rr) > 0.0)
+        value, slope = spline_and_slope(rr)
+        return slope / mass * ((value > 0.0) & (rr < R))  # where raw(rr) > 0
 
     return RadialDensity(
         dim=int(dim),

@@ -452,25 +452,31 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     else:
         schedule = [0.0] * _MAX_OUTER
     delta = schedule[0] * float(np.max(u))
-    energy, grad_e, _ = disc.energy(u)
-    lam = _least_squares_multipliers(u, grad_e, disc.constraints(u, delta)[1])
-    rho = _RHO_SCALE * max(1.0, abs(energy))
+    # the energy (e, grad e, W phi''(d)) and the constraints (c, jac) at delta
+    # of the current point: each point is evaluated once, and kept with it
+    energy_u, constraints_u = disc.energy(u), disc.constraints(u, delta)
+    lam = _least_squares_multipliers(u, energy_u[1], constraints_u[1])
+    rho = _RHO_SCALE * max(1.0, abs(energy_u[0]))
     weights = np.vstack((disc.wgeo, disc.wmom))
     steps = 0
     previous_violation = math.inf
     converged = False
 
-    def al_function(x):
-        e, ge, curv = disc.energy(x)
-        c, jac = disc.constraints(x, delta)
+    def al_function(energy, constraints):
+        e, ge, _ = energy
+        c, jac = constraints
         mu = lam + rho * c
-        return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, jac, mu, c, curv
+        return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, mu
 
     for fraction in schedule:
-        delta = fraction * float(np.max(u))
-        value, grad, jac, mu, c, curv = al_function(u)
+        new_delta = fraction * float(np.max(u))
+        if new_delta != delta:  # the constraints read delta, the energy does not
+            delta = new_delta
+            constraints_u = disc.constraints(u, delta)
+        value, grad, mu = al_function(energy_u, constraints_u)
         for _ in range(_MAX_NEWTON):
-            hessian = disc.energy_hessian(curv)
+            jac = constraints_u[1]
+            hessian = disc.energy_hessian(energy_u[2])
             umax = float(np.max(u))
             # pin a node near the bound whose diagonal Newton step would reach it
             diagonal = hessian[3] + rho * np.sum(jac * jac, axis=0)
@@ -488,17 +494,18 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             t = 1.0
             for _ in range(_MAX_BACKTRACK):
                 trial = np.maximum(u + t * step, 0.0)
-                trial_value, *at_trial = al_function(trial)
+                energy_t, constraints_t = disc.energy(trial), disc.constraints(trial, delta)
+                trial_value, trial_grad, trial_mu = al_function(energy_t, constraints_t)
                 # a strict decrease, so a step too short to change the value ends the subproblem
                 if trial_value < value and trial_value <= value + 1e-4 * float(grad @ (trial - u)):
                     break
                 t *= 0.5
             else:
                 break
-            u, value = trial, trial_value
-            grad, jac, mu, c, curv = at_trial
+            u, energy_u, constraints_u = trial, energy_t, constraints_t
+            value, grad, mu = trial_value, trial_grad, trial_mu
             steps += 1
-        # c and jac are the constraints at u, kept from its AL evaluation
+        c, jac = constraints_u
         violation = float(np.max(np.abs(c)))
         lam = lam + rho * c
         if violation < _CONSTRAINT_TOL and fraction == schedule[-1]:
@@ -508,7 +515,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             rho = min(rho * 10.0, 1e12)
         previous_violation = violation
 
-    multipliers = _least_squares_multipliers(u, disc.energy(u)[1], jac)
+    multipliers = _least_squares_multipliers(u, energy_u[1], jac)
     solution = VariationalSolution(
         u_values=u,
         objective=float(disc.wmid @ np.abs(disc.derivative(u)) ** problem.beta),

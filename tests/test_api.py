@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,7 +66,8 @@ def test_root_exports_exactly_the_module_lists():
 
 def test_cli_import_loads_only_the_scipy_it_uses():
     # nothing the package computes needs an optimizer, an adaptive integrator
-    # or an interpolator at import; the table spline is imported on first use
+    # or an interpolator, at import or later; the table spline is computed
+    # in-package (see test_profile_table_loads_linalg_but_no_interpolator)
     src = os.path.dirname(os.path.dirname(qginfo.__file__))
     probe = ("import sys, qginfo.cli; print(sorted({m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
@@ -119,6 +121,19 @@ def test_closed_forms_and_quadrature_load_special_but_not_linalg(argv):
     loaded = _scipy_loaded_by(argv)
     assert "scipy.special" in loaded
     assert "scipy.linalg" not in loaded
+
+
+def test_profile_table_loads_linalg_but_no_interpolator(tmp_path):
+    # the natural spline's slopes are one LAPACK tridiagonal solve; loading
+    # scipy.interpolate for it would load optimize, sparse, spatial and fft
+    table = tmp_path / "profile.csv"
+    radii = [3.3 * j / 400 for j in range(401)]
+    table.write_text("r,f\n" + "".join(f"{r!r},{math.exp(-r**3)!r}\n" for r in radii))
+    loaded = _scipy_loaded_by(["verify", "--all", "--n", "2", "--density", f"profile:{table}"])
+    assert {"scipy.special", "scipy.linalg"} <= loaded
+    assert not {m for m in loaded if m.split(".")[:2] in (
+        ["scipy", "interpolate"], ["scipy", "optimize"], ["scipy", "sparse"],
+        ["scipy", "spatial"], ["scipy", "fft"])}
 
 
 def test_minimize_loads_linalg():

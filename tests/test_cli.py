@@ -2,12 +2,15 @@
 
 import builtins
 import csv
+import functools
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -868,7 +871,8 @@ class TestMinimizeCommand:
 # values are attached as --flag=value so that negative numbers reach the program
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 1e-320, 1e300, -1e300, 0.0, -1.0, 1.0, 2.0)
-_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-4.0, 4.0)).map(repr)
+_FLOAT_VALUES = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-4.0, 4.0))
+_FLOATS = _FLOAT_VALUES.map(repr)
 _DIMS = st.one_of(st.integers(-1, 4), st.sampled_from((400, 10**6))).map(str)
 
 
@@ -880,11 +884,46 @@ def _params(dims=_DIMS, floats=_FLOATS):
 _MEASURES = st.tuples(_params(), st.sampled_from(("closed", "quadrature", "both"))).map(
     lambda t: ["measures", *t[0], f"--method={t[1]}"])
 
+
+@functools.cache
+def _table_dir():
+    return tempfile.TemporaryDirectory(prefix="qginfo-tables-")  # removed at exit
+
+
+def _table(radii, values) -> str:
+    """The profile: selector of a CSV table of the rows (radius, value), under a header."""
+    text = "r,f\n" + "".join(f"{r!r},{v!r}\n" for r, v in zip(radii, values))
+    path = os.path.join(_table_dir().name, hashlib.sha256(text.encode()).hexdigest() + ".csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return f"profile:{path}"
+
+
+def _from_zero(steps):
+    return [sum(steps[:i]) for i in range(len(steps))]
+
+
+# 0-9 rows: radii and values as drawn, with the radii sorted or not; or
+# finite nonnegative values on radii that rise from 0, the shape of a table
+# the spline is built from
+_ROWS = st.integers(0, 9)
+_TABLES = st.one_of(
+    _ROWS.flatmap(lambda rows: st.tuples(
+        st.lists(_FLOAT_VALUES, min_size=rows, max_size=rows), st.booleans(),
+        st.lists(_FLOAT_VALUES, min_size=rows, max_size=rows))).map(
+        lambda t: _table(sorted(t[0]) if t[1] else t[0], t[2])),
+    _ROWS.flatmap(lambda rows: st.tuples(
+        st.lists(st.floats(1e-3, 4.0), min_size=rows, max_size=rows),
+        st.lists(st.floats(0.0, 4.0), min_size=rows, max_size=rows))).map(
+        lambda t: _table(_from_zero(t[0]), t[1])),
+)
+
 _DENSITIES = st.one_of(
     st.just("qgaussian"),
     st.tuples(_FLOATS, _FLOATS).map(lambda t: f"mixture:{t[0]},0,{t[1]}"),
     st.tuples(_FLOATS, _FLOATS).map(lambda t: f"mixture:0.5,0,1;{t[0]},0,{t[1]}"),
     _FLOATS.map(lambda r: f"uniform-ball:{r}"),
+    _TABLES,
 )
 _SELECTION = st.one_of(st.just([]), st.just(["--all"]),
                        st.sampled_from(INEQUALITY_NAMES).map(lambda name: [f"--ineq={name}"]))
@@ -950,6 +989,9 @@ def _exit_code(argv) -> int:
 @example(["verify", "--all", "--alpha", "1.0000001", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--q", "1e6", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--density", "uniform-ball:1e300"])
+# a table that ends above 0: the Fisher-based checks miss the jump there and fail (exit 4)
+@example(["verify", "--all", "--n", "2", "--density=" + _table(
+    [0.0, 0.436, 1.0, 1.196, 1.772], [3.99, 3.95, 1.80, 2.55, 2.81])])
 @example(["minimize", "--n", "2", "--alpha", "1e300", "--q", "1", "--moment", "1"])
 @example(["minimize", "--moment", "1", "--nodes", "50", "--init", "flat"])
 def test_exit_code_contract_holds_on_any_input(argv):

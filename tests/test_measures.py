@@ -285,6 +285,78 @@ class TestFactories:
                 table_profile(1, radii, table)
 
 
+def _spline_tables():
+    # the benchmark's four shapes exp(-(r/s)^p) on 401 rows to e^-36, two of
+    # 4 and 5 rows, and such shapes ending at 0 on random non-uniform radii
+    # and values over many scales
+    for power, scale in ((1.5, 0.9), (3.0, 1.2), (4.0, 0.7), (3.0, 1.45)):
+        radii = np.linspace(0.0, scale * 36.0 ** (1.0 / power), 401)
+        yield radii, np.exp(-((radii / scale) ** power))
+    yield np.arange(4.0), np.array([1.0, 0.8, 0.3, 0.0])
+    yield np.array([0.0, 0.3, 1.7, 2.0, 3.1]), np.array([2.0, 1.9, 0.6, 0.4, 0.0])
+    rng = np.random.default_rng(2012)
+    for size in (40, 300, 1200):
+        for _ in range(4):
+            steps = rng.exponential(1.0, size - 1) ** rng.uniform(0.3, 1.5)
+            radii = np.concatenate(([0.0], np.cumsum(steps)))
+            values = np.exp(-12.0 * (radii / radii[-1]) ** rng.uniform(1.0, 4.0))
+            values[-1] = 0.0
+            yield radii * 10.0 ** rng.uniform(-3, 3), values * 10.0 ** rng.uniform(-30, 30)
+
+
+@pytest.mark.parametrize("radii,values", list(_spline_tables()))
+def test_table_spline_is_scipys_bit_for_bit(radii, values):
+    # the oracle, imported here only: the package computes the same natural
+    # spline itself, so every profile and derivative value keeps its bits
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(radii, values, bc_type="natural")
+    slope = spline.derivative()
+    R = radii[-1]
+
+    def raw(r):
+        return np.maximum(spline(r), 0.0) * (r < R)
+
+    mass = RadialDensity(dim=2, profile=raw, support_hint=R).normalization()
+    f = table_profile(2, radii, values)
+    rng = np.random.default_rng(radii.size)
+    spread = np.concatenate((radii, np.linspace(-0.1 * R, 1.2 * R, 2 * radii.size + 100),
+                             rng.uniform(0.0, R, 200), [R * (1 + 1e-16), 2 * R, 1e30, -0.0]))
+    probes = [np.sort(spread), spread, np.append(spread, math.nan), radii[1:-1],
+              *(float(r) for r in (0.0, radii[1], 0.5 * R, R, 1.5 * R, -1.0, math.nan))]
+    with np.errstate(all="ignore"):
+        for r in probes:
+            expected = (raw(r) / mass, slope(r) / mass * (raw(r) > 0.0))
+            for got, want in zip((f.profile(r), f.derivative(r)), expected):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), r
+
+
+def test_table_spline_keeps_scipys_signed_zeros():
+    # PPoly sums each polynomial from 0.0, which turns a -0 value at a knot,
+    # where every other term is -0, into +0; the spline itself takes any sign
+    from scipy.interpolate import CubicSpline
+
+    from qginfo.measures import _natural_spline
+
+    radii = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 6.0])
+    r = np.concatenate((radii, np.linspace(-1.0, 7.0, 997)))
+    for values in ([-0.0, -1.0, -1.0, 1.0, -1.0, -1.0], [-0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+                   [1.0, -0.0, -0.0, -0.0, 0.0, -0.0]):
+        spline = CubicSpline(radii, values, bc_type="natural")
+        value, value_and_slope = _natural_spline(radii, np.array(values))
+        for got, want in zip((value(r), *value_and_slope(r)),
+                             (spline(r), spline(r), spline.derivative()(r))):
+            assert got.tobytes() == want.tobytes(), values
+
+
+def test_table_whose_spacing_squared_overflows_is_rejected():
+    # the natural end condition enters the slope system as 0 * dx^2, which
+    # overflows, as in scipy, when an end interval is wider than 1.3e154
+    for radii in ([0.0, 1e155, 2e155, 3e155], [0.0, 1.0, 2.0, 1e200]):
+        with pytest.raises(DomainError, match="overflows its cubic spline"):
+            table_profile(1, radii, [1.0, 1.0, 0.5, 0.0])
+
+
 class TestFisherEdgeCases:
     def test_finite_difference_fallback(self):
         # dropping the analytic derivative must give the same Fisher value

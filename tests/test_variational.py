@@ -330,6 +330,19 @@ class TestSolverRecovery:
         assert calls["derivative"] <= calls["energy"] + solves, calls
         assert calls["constraints"] <= calls["energy"], calls
 
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        # the warm start, each outer step and the final fit read the energy
+        # kept with the current point, so no energy call repeats a point
+        seen = collections.Counter()
+        energy = variational._Discretization.energy
+        monkeypatch.setattr(variational._Discretization, "energy",
+                            lambda self, u: seen.update([u.tobytes()]) or energy(self, u))
+        for n, q, nodes in SOLVE_WORKLOAD_CASES:
+            for init in INITS:
+                seen.clear()
+                solve(make_problem(n, 2.0, q, 1.0, num_nodes=nodes), init=init)
+                assert max(seen.values()) == 1, (n, q, init)
+
     def test_collapsed_profile_is_a_convergence_failure(self):
         # a heavy tail whose flat start leaves fewer than two independent
         # constraint gradients off the bound: the multiplier fit has no
