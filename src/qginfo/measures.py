@@ -321,6 +321,9 @@ def gaussian_mixture(dim: int, components, descriptor: str | None = None) -> Rad
     if not all(math.isfinite(x) and x > 0 for comp in comps for x in comp):
         raise DomainError("mixture weights and variances must be finite and positive")
     wsum = sum(w for w, _ in comps)
+    if not math.isfinite(wsum):
+        # dividing by an infinite sum would set every weight to 0
+        raise DomainError("mixture weights overflow their sum: scale them down")
     comps = [(w / wsum, v) for w, v in comps]
     n = int(dim)
     norms = [(w, v, w * (2.0 * math.pi * v) ** (-n / 2.0)) for w, v in comps]
@@ -399,14 +402,10 @@ def _natural_spline(x: np.ndarray, y: np.ndarray) -> tuple:
     bit for bit (de Boor, *A Practical Guide to Splines*, 1978): the knot
     slopes solve scipy's tridiagonal system, the coefficients are
     CubicHermiteSpline's, and each polynomial is summed in PPoly's order from
-    0.0, on [x_i, x_i+1) found as PPoly finds it, the end cubics extended past
-    the table. Raises ValueError where scipy does: on a singular system or on
-    slopes that are not finite.
+    0.0, on the [x_i, x_i+1) that PPoly finds, by one search of the inner
+    knots, the end cubics extended past the table. Raises ValueError where
+    scipy does: on a singular system or on slopes that are not finite.
     """
-    # on first use: scipy.linalg takes about 50 ms to import, which only
-    # tables and the solver need
-    from scipy.linalg import get_lapack_funcs
-
     dx, dy = np.diff(x), np.diff(y)
     slope = dy / dx
     pad = np.concatenate(([0.0], dx, [0.0]))
@@ -414,7 +413,7 @@ def _natural_spline(x: np.ndarray, y: np.ndarray) -> tuple:
     # f'' = 0 at the ends enters scipy's system as -+0.0 dx^2/2, which overflows where dx^2 does
     b[[0, -1]] += np.array([-0.0, 0.0]) * dx[[0, -1]] ** 2
     # LAPACK's tridiagonal solve, the one scipy.linalg.solve_banded((1, 1), ...) makes
-    *_, s, info = get_lapack_funcs(("gtsv",), dtype=np.float64)[0](
+    *_, s, info = _special.gtsv(
         np.append(dx[1:], dx[-1]), 2.0 * (pad[:-1] + pad[1:]), np.append(dx[0], dx[:-1]), b)
     if info != 0 or not np.all(np.isfinite(s)):
         raise ValueError("the spline's knot slopes are not finite")
@@ -427,15 +426,7 @@ def _natural_spline(x: np.ndarray, y: np.ndarray) -> tuple:
 
     def at(r):
         # the function that reads a per-interval array at each r's interval,
-        # the one with as many inner knots at or below r. Sorted radii are
-        # counted per interval instead of searched for one by one once they
-        # outnumber the inner knots by about 400, where counting was measured
-        # to pay for its fixed cost (tables of 26 to 1601 rows)
-        if isinstance(r, np.ndarray) and r.ndim == 1 and r.size > inner.size + 400 \
-                and (r[1:] >= r[:-1]).all():
-            edges = np.concatenate(([0], r.searchsorted(inner), [r.size]))
-            counts = edges[1:] - edges[:-1]
-            return lambda column: column.repeat(counts)
+        # the one with as many inner knots at or below r
         i = inner.searchsorted(r, "right")
         return lambda column: column.take(i)
 

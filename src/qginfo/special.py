@@ -1,10 +1,14 @@
-"""Log-gamma, Beta function, and unit-ball geometry.
+"""Log-gamma, Beta function, and unit-ball geometry; the package's one door to scipy.
 
 Every closed form in the package chains through these three helpers, so they
 carry the tightest accuracy contract (1e-12 relative for log_gamma on
 [1e-3, 1e3]). Gamma ratios are always assembled in log space with a single
 final exponentiation; the Beta function stays finite even when one argument
 is huge, which happens routinely for tail indices q close to 1.
+
+No other module of the package imports scipy: every scipy routine it calls,
+the scipy.special ufuncs and LAPACK's gbsv and gtsv, is read from this module
+and imported on the first read (see ``__getattr__``).
 """
 
 import math
@@ -14,19 +18,26 @@ from .errors import DomainError
 
 __all__ = ["log_gamma", "beta_fn", "unit_ball_volume", "unit_sphere_area"]
 
-# the scipy.special ufuncs the package uses, read from this module. Importing
-# scipy.special takes about 0.3 s, which `sample` and a usage error never need,
-# so the first read of any of them imports it and binds all of them here
+# the scipy routines of the docstring, bound here on the first read of any name
+# from the same scipy module: the first of scipy.special and scipy.linalg to be
+# imported takes about 0.3 s and the second about 60 ms more, which `sample`
+# and a usage error never need
 _UFUNCS = ("gammaln", "betaln", "exprel", "gammainc", "gammaincc", "gammaincinv",
            "betainc", "betaincinv")
+_LAPACK = ("gbsv", "gtsv")
 
 
 def __getattr__(name):
-    if name not in _UFUNCS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import special
+    if name in _UFUNCS:
+        from scipy import special
 
-    globals().update((ufunc, getattr(special, ufunc)) for ufunc in _UFUNCS)
+        globals().update((ufunc, getattr(special, ufunc)) for ufunc in _UFUNCS)
+    elif name in _LAPACK:
+        from scipy.linalg import get_lapack_funcs
+
+        globals().update(zip(_LAPACK, get_lapack_funcs(_LAPACK, dtype=float)))
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]
 
 

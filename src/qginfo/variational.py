@@ -28,12 +28,12 @@ numerically (a widely copied k-beta variant fails the stationarity residual
 except where k is 1 or beta, where the two coincide).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import special as _special
 from . import validity
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .qgaussian import (
@@ -92,6 +92,10 @@ _DECREMENT_TOL = 1e-14
 _SHIFT = 1e-8
 # times a Newton step is retaken after freeing pinned nodes it would lift
 _RELEASE_ROUNDS = 3
+# nodes at or below this fraction of max u are near the bound: the Newton
+# steps pin those whose diagonal step would reach it, and the least-squares
+# multipliers leave them out, where u^(k-1) is steep
+_NEAR_BOUND = 1e-6
 # when k < 1, u^k has unbounded slope at 0, so a node at 0 beside the support
 # would be a local minimum however hard the energy pulls it up; below delta the
 # constraints take the quadratic with the value and slope of u^k at delta.
@@ -321,18 +325,6 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@functools.cache
-def _gbsv():
-    """LAPACK's banded LU solve, the routine behind scipy.linalg.solve_banded.
-
-    Bound on the first solve: scipy.linalg takes about 50 ms to import, which
-    only `minimize` needs.
-    """
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
-
-
 def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
                  jac: np.ndarray, rho: float, pinned: np.ndarray):
     """Descent direction p solving (H + rho J^T J) p = -grad off the pinned nodes, or None.
@@ -351,8 +343,8 @@ def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
         ab[6 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
     ab[6] += f * diagonal + 1.0 - f
     jf = jac * f
-    _, _, sol, info = _gbsv()(3, 3, ab, np.column_stack((grad * f, jf.T)),
-                              overwrite_ab=True, overwrite_b=True)
+    _, _, sol, info = _special.gbsv(3, 3, ab, np.column_stack((grad * f, jf.T)),
+                                    overwrite_ab=True, overwrite_b=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbsv")
     if info > 0:
@@ -403,13 +395,13 @@ def _least_squares_multipliers(u: np.ndarray, grad_e: np.ndarray, jac: np.ndarra
 
     ``grad_e`` is the energy gradient at u and ``jac`` the constraint Jacobian.
 
-    Nodes within 1e-6 max u of the bound, where u^(k-1) is steep, are left
+    Nodes near the bound (_NEAR_BOUND), where u^(k-1) is steep, are left
     out. The 2x2 normal equations of the unit-scaled constraint gradients are
     solved directly; ``np.linalg.lstsq`` would give the same (a, b) but
     raises the process's peak memory by about 1 MB on its first call. When
     the two gradients are not independent off the bound, (0, 0) is returned.
     """
-    free = u > 1e-6 * float(np.max(u))
+    free = u > _NEAR_BOUND * float(np.max(u))
     rows = jac[:, free]
     scale = np.sqrt(np.sum(rows * rows, axis=1))
     if not np.all(scale > 0.0):
@@ -480,7 +472,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             umax = float(np.max(u))
             # pin a node near the bound whose diagonal Newton step would reach it
             diagonal = hessian[3] + rho * np.sum(jac * jac, axis=0)
-            pinned = (u <= 1e-6 * umax) & (u * diagonal <= grad)
+            pinned = (u <= _NEAR_BOUND * umax) & (u * diagonal <= grad)
             pinned[-1] = True
             # u^k has unbounded curvature at 0 when k < 2: take it at 1e-8 max u or above
             curvature = (mu @ weights) * _power(np.maximum(u, 1e-8 * umax), k, delta)[2]

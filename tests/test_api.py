@@ -1,11 +1,13 @@
 """The package root re-exports each module's public names, and nothing is lost."""
 
+import ast
 import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +154,46 @@ def test_fresh_process_prints_the_bytes_of_a_warm_one(argv, capsys):
 
     assert qginfo.cli.main(argv) == 0
     assert _fresh_process("-m", "qginfo.cli", *argv) == capsys.readouterr().out
+
+
+def test_only_special_imports_scipy():
+    importers = set()
+    for path in Path(qginfo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"special.py"}
+
+
+# reads the name argv[1] from qginfo.special, then prints what the read gave
+# (its type, or the exception it raised) and the scipy modules loaded
+_READ_PROBE = """
+import json, sys
+import qginfo.special
+try:
+    read = type(getattr(qginfo.special, sys.argv[1])).__name__
+except Exception as exc:
+    read = type(exc).__name__
+print(json.dumps([read, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))
+"""
+
+
+@pytest.mark.parametrize("name,kind,loads,skips", [
+    ("gtsv", "fortran", "scipy.linalg", "scipy.special"),
+    ("gbsv", "fortran", "scipy.linalg", "scipy.special"),
+    ("gammaln", "ufunc", "scipy.special", "scipy.linalg"),
+])
+def test_special_binds_each_scipy_module_on_its_first_read(name, kind, loads, skips):
+    read, loaded = json.loads(_fresh_process("-c", _READ_PROBE, name))
+    assert read == kind
+    assert loads in loaded and skips not in loaded
+
+
+def test_special_refuses_an_unknown_name_and_loads_no_scipy():
+    assert json.loads(_fresh_process("-c", _READ_PROBE, "solve_banded")) == ["AttributeError", []]

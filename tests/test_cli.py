@@ -343,6 +343,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "center" in err
 
+    def test_mixture_weights_whose_sum_overflows_rejected(self, capsys):
+        # each weight is finite, their sum is not: normalizing would zero them all
+        code, _, err = run(["verify", "--n", "3", "--density", "mixture:1e308,0,1;1e308,0,2"],
+                           capsys)
+        assert (code, err) == (2, "error: mixture weights overflow their sum: scale them down\n")
+        code, _, _ = run(["verify", "--n", "3", "--density", "mixture:1e308,0,1;7e307,0,2"],
+                         capsys)
+        assert code == 0
+
     def test_uniform_ball_all_skips_fisher_checks(self, capsys):
         code, out, _ = run(
             ["verify", "--all", "--n", "2", "--alpha", "2", "--q", "1",
