@@ -29,7 +29,7 @@ except where k is 1 or beta, where the two coincide).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,9 +71,10 @@ _SMOOTHING_EPS = 1e-8
 
 # largest radial grid accepted; a solve peaks near 75 doubles per node (band
 # storage and its copies, LU factors, right-hand sides), so about 60 MB here.
-# Measured at this size with alpha = 2, m = 1 on a 2-vCPU VM: n = 1, q = 1 takes
-# 1400 Newton steps and 231 s, n = 2, q = 1.2 takes 304 steps and 36 s, and the
-# whole process peaks at 120 MB
+# Measured at this size with alpha = 2, m = 1 on a 2-vCPU VM, one BLAS thread,
+# solved coarse to fine over ten levels: n = 1, q = 1 takes 46 Newton steps
+# (1 on the finest level) and 0.19 s, n = 2, q = 1.2 takes 59 steps (1 on the
+# finest) and 0.52 s, and the whole process peaks at 111 MB
 MAX_NODES = 100_001
 
 # augmented-Lagrangian (AL) budget: outer steps, and the constraint violation that ends them
@@ -81,6 +82,8 @@ _MAX_OUTER = 40
 _CONSTRAINT_TOL = 1e-9
 # first AL penalty, in units of max(1, |energy of the initial profile|)
 _RHO_SCALE = 100.0
+# largest AL penalty
+_RHO_MAX = 1e12
 # projected Newton steps per AL subproblem; the subproblem ends when the Newton
 # decrement falls below _DECREMENT_TOL |AL|, since an absolute gradient
 # tolerance is out of reach of floating point on fine grids
@@ -104,6 +107,8 @@ _NEAR_BOUND = 1e-6
 # support edge
 _DELTA_START = 0.1
 _DELTA_CELLS = 0.1
+# fewest nodes of a coarse level in solve's coarse-to-fine ladder
+_COARSEST = 101
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +143,10 @@ class VariationalSolution:
 
     ``multipliers`` are the (a, b) that best satisfy the discrete stationarity
     equations over the nodes off the bound, in the least-squares sense;
-    ``iterations`` counts projected Newton steps over all outer steps. When
-    k < 1, ``constraints_achieved`` takes u^k as the solver does, with the
-    quadratic below the final delta (see ``solve``).
+    ``iterations`` counts projected Newton steps over all outer steps of
+    every coarse-to-fine level, and every other field is of the requested
+    grid (see ``solve``). When k < 1, ``constraints_achieved`` takes u^k as
+    the solver does, with the quadratic below the final delta.
     """
 
     u_values: np.ndarray
@@ -341,7 +347,7 @@ def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
     for o in range(-3, 4):
         lo, hi = max(0, -o), f.size - max(0, o)
         ab[6 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
-    ab[6] += f * diagonal + 1.0 - f
+    ab[6] += np.where(pinned, 1.0, diagonal)
     jf = jac * f
     _, _, sol, info = _special.gbsv(3, 3, ab, np.column_stack((grad * f, jf.T)),
                                     overwrite_ab=True, overwrite_b=True)
@@ -413,46 +419,30 @@ def _least_squares_multipliers(u: np.ndarray, grad_e: np.ndarray, jac: np.ndarra
         return np.zeros(2)
 
 
-def solve(problem: VariationalProblem, init: str = "exponential") -> VariationalSolution:
-    """Minimize the discrete Dirichlet energy under both constraints.
+def _level_sizes(num_nodes: int) -> list:
+    """Node counts of the coarse-to-fine levels, coarsest first: each has
+    (N + 1) // 2 nodes of the one above it, down to the last size that is
+    still at least _COARSEST."""
+    sizes = [num_nodes]
+    while (sizes[-1] + 1) // 2 >= _COARSEST:
+        sizes.append((sizes[-1] + 1) // 2)
+    return sizes[::-1]
 
-    An augmented-Lagrangian (AL) outer loop updates the multipliers and the
-    penalty; each AL subproblem is solved by projected Newton steps on
-    u >= 0 (Bertsekas, SIAM J. Control Optim. 20, 1982). A node is pinned to
-    the bound when its gradient would carry it there; the free nodes take the
-    Newton step of the AL function, with the negative part of the constraint
-    curvature clipped (and then a diagonal shift added) only when the exact
-    step is not a descent direction, and an Armijo search runs along the
-    projection arc. The outer node is held at the bound. When k < 1, where
-    u^k has unbounded slope at 0, the constraints replace u^k below a level
-    delta by a quadratic, and delta falls from a tenth of max u to the scale
-    of u one grid cell inside the support edge over the outer steps; the
-    support edge therefore settles from a smooth problem down instead of
-    sticking wherever a node first reaches 0. The returned multipliers solve
-    the stationarity equations over the nodes off the bound in the
-    least-squares sense.
+
+def _solve_level(disc: _Discretization, u: np.ndarray, lam: np.ndarray, rho: float,
+                 schedule: list, energy_u, constraints_u):
+    """AL outer steps on one grid from u, whose energy and constraints at
+    delta = schedule[0] max u are given.
+
+    Returns u with its energy and constraints, the multipliers and the
+    penalty after the last outer step, the Newton steps taken and whether
+    the constraints were met at the last delta.
     """
-    eps = _SMOOTHING_EPS if problem.beta < 2.0 else 0.0
-    disc = _Discretization(problem, eps)
-    k = problem.k
-    u = _initial_profile(problem, init, disc)
-    u[-1] = 0.0
-    # delta of each outer step, in units of max u
-    if k < 1.0:
-        cell = _DELTA_CELLS * (problem.grid[1] / problem.R) ** (1.0 / k)
-        schedule = [max(_DELTA_START * 0.1**i, cell) for i in range(_MAX_OUTER)]
-    else:
-        schedule = [0.0] * _MAX_OUTER
+    k = disc.k
     delta = schedule[0] * float(np.max(u))
-    # the energy (e, grad e, W phi''(d)) and the constraints (c, jac) at delta
-    # of the current point: each point is evaluated once, and kept with it
-    energy_u, constraints_u = disc.energy(u), disc.constraints(u, delta)
-    lam = _least_squares_multipliers(u, energy_u[1], constraints_u[1])
-    rho = _RHO_SCALE * max(1.0, abs(energy_u[0]))
     weights = np.vstack((disc.wgeo, disc.wmom))
     steps = 0
     previous_violation = math.inf
-    converged = False
 
     def al_function(energy, constraints):
         e, ge, _ = energy
@@ -497,16 +487,89 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
             u, energy_u, constraints_u = trial, energy_t, constraints_t
             value, grad, mu = trial_value, trial_grad, trial_mu
             steps += 1
-        c, jac = constraints_u
+        c = constraints_u[0]
         violation = float(np.max(np.abs(c)))
         lam = lam + rho * c
         if violation < _CONSTRAINT_TOL and fraction == schedule[-1]:
-            converged = True
-            break
+            return u, energy_u, constraints_u, lam, rho, steps, True
         if violation > 0.25 * previous_violation:
-            rho = min(rho * 10.0, 1e12)
+            rho = min(rho * 10.0, _RHO_MAX)
         previous_violation = violation
+    return u, energy_u, constraints_u, lam, rho, steps, False
 
+
+def solve(problem: VariationalProblem, init: str = "exponential") -> VariationalSolution:
+    """Minimize the discrete Dirichlet energy under both constraints.
+
+    An augmented-Lagrangian (AL) outer loop updates the multipliers and the
+    penalty; each AL subproblem is solved by projected Newton steps on
+    u >= 0 (Bertsekas, SIAM J. Control Optim. 20, 1982). A node is pinned to
+    the bound when its gradient would carry it there; the free nodes take the
+    Newton step of the AL function, with the negative part of the constraint
+    curvature clipped (and then a diagonal shift added) only when the exact
+    step is not a descent direction, and an Armijo search runs along the
+    projection arc. The outer node is held at the bound. When k < 1, where
+    u^k has unbounded slope at 0, the constraints replace u^k below a level
+    delta by a quadratic, and delta falls from a tenth of max u to the scale
+    of u one grid cell inside the support edge over the outer steps; the
+    support edge therefore settles from a smooth problem down instead of
+    sticking wherever a node first reaches 0. The returned multipliers solve
+    the stationarity equations over the nodes off the bound in the
+    least-squares sense.
+
+    The problem is solved coarse to fine (nested iteration; Briggs, Henson &
+    McCormick, *A Multigrid Tutorial*, ch. 3) on uniform grids over the same
+    [0, R]: each level has (N + 1) // 2 nodes of the one above it, down to
+    the last size that is still at least 101, so a grid of fewer than 201
+    nodes is solved on its own. ``init`` is evaluated on the coarsest level
+    only. Each finer level starts from the level below it: the profile u,
+    linearly interpolated and renormalized to unit mass, the multipliers and
+    the penalty carry over, and when k < 1 the delta schedule restarts one
+    decade above the coarse level's last fraction of max u. A coarse level
+    that took the penalty to its cap (as every coarse level that did not
+    converge did in ``tools/scans.py draw-300``) hands up only u and delta;
+    the multipliers and the penalty then restart as on the coarsest level.
+    So the Newton steps barely grow with the grid: 1 to 3 on the finest level
+    for n = 1, q = 1 from 801 nodes up. The objective, the multiplier fit,
+    ``converged`` and a ``ConvergenceError`` are those of the requested grid;
+    ``iterations`` counts the Newton steps of all levels.
+    """
+    eps = _SMOOTHING_EPS if problem.beta < 2.0 else 0.0
+    k = problem.k
+    steps = 0
+    level = None
+    for size in _level_sizes(problem.grid.size):
+        coarse, level = level, (problem if size == problem.grid.size
+                                else replace(problem, grid=np.linspace(0.0, problem.R, size)))
+        disc = _Discretization(level, eps)
+        if coarse is None:
+            u = _initial_profile(level, init, disc)
+            first = _DELTA_START
+        else:
+            u = np.interp(level.grid, coarse.grid, u)
+            u = u * float(disc.wgeo @ u**k) ** (-1.0 / k)
+            first = 10.0 * schedule[-1]  # one decade above the coarse level's last delta
+        u[-1] = 0.0
+        # delta of each outer step, in units of max u
+        if k < 1.0:
+            cell = _DELTA_CELLS * (level.grid[1] / level.R) ** (1.0 / k)
+            schedule = [max(first * 0.1**i, cell) for i in range(_MAX_OUTER)]
+        else:
+            schedule = [0.0] * _MAX_OUTER
+        # the energy (e, grad e, W phi''(d)) and the constraints (c, jac) at delta
+        # of the current point: each point is evaluated once, and kept with it
+        energy_u = disc.energy(u)
+        constraints_u = disc.constraints(u, schedule[0] * float(np.max(u)))
+        # a coarse level that took the penalty to its cap hands up only u: its
+        # penalty would leave the finer level's Newton systems ill-conditioned
+        if coarse is None or rho >= _RHO_MAX:
+            lam = _least_squares_multipliers(u, energy_u[1], constraints_u[1])
+            rho = _RHO_SCALE * max(1.0, abs(energy_u[0]))
+        u, energy_u, constraints_u, lam, rho, level_steps, converged = _solve_level(
+            disc, u, lam, rho, schedule, energy_u, constraints_u)
+        steps += level_steps
+
+    c, jac = constraints_u
     multipliers = _least_squares_multipliers(u, energy_u[1], jac)
     solution = VariationalSolution(
         u_values=u,
@@ -521,7 +584,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     if not converged:
         raise ConvergenceError(
             f"constraints not met after {_MAX_OUTER} outer iterations "
-            f"(violation {violation:.3e})",
+            f"(violation {float(np.max(np.abs(c))):.3e})",
             last_iterate=solution,
         )
     return solution

@@ -1,8 +1,11 @@
-"""Prints one status line per acceptance criterion after the run, and fails a
-test that leaves a child process unreaped."""
+"""Prints one status line per acceptance criterion after the run, fails a
+test that leaves a child process unreaped, and loads scripts outside the
+package (bench/, tools/) as modules."""
 
+import importlib.util
 import os
 import re
+import sys
 
 import pytest
 
@@ -41,3 +44,18 @@ def _no_unreaped_child():
         return
     state = "still running" if pid == 0 else f"pid {pid} exited with wait status {status}"
     pytest.fail(f"test left a child process unreaped ({state})")
+
+
+@pytest.fixture
+def load_module(monkeypatch):
+    """load(name, path): the file at path run as module `name`, registered in
+    sys.modules under that name until the test ends."""
+
+    def load(name, path):
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -1,7 +1,5 @@
 """The benchmark's tracer patches program attributes by name: each must exist and come back."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,16 +10,9 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 BENCH = TRACER.parent
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_install_then_uninstall_restores_every_attribute():
+def test_install_then_uninstall_restores_every_attribute(load_module):
     # a rename in the program makes install fail here rather than in a traced run
-    bench = _load_tracer()
+    bench = load_module("bench_tracer", TRACER)
     tracer = bench.Tracer()
     try:
         bench.install(tracer)
@@ -35,24 +26,19 @@ def test_install_then_uninstall_restores_every_attribute():
         assert getattr(module, attr) is original, (module.__name__, attr)
 
 
-def _load_bench(monkeypatch):
+def _load_bench(monkeypatch, load_module):
     """bench/'s modules, registered under the names they import one another by."""
     # run.py pins one BLAS thread on import; keep that out of the other tests
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    modules = {}
-    for name in ("workloads", "tracer", "checks", "layers", "run"):
-        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-        modules[name] = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, modules[name])
-        spec.loader.exec_module(modules[name])
-    return modules
+    return {name: load_module(name, BENCH / f"{name}.py")
+            for name in ("workloads", "tracer", "checks", "layers", "run")}
 
 
 # the two traced passes of `bench/run.py --trace 1`, without its self-time
 # bound, which is within the jitter of a shared host
 @pytest.mark.parametrize("workload", ["interactive", "solve"])
-def test_traced_passes_are_correct_and_count_alike(workload, tmp_path, monkeypatch):
-    bench = _load_bench(monkeypatch)
+def test_traced_passes_are_correct_and_count_alike(workload, tmp_path, monkeypatch, load_module):
+    bench = _load_bench(monkeypatch, load_module)
     run, tracer, layers = bench["run"], bench["tracer"], bench["layers"]
     ops = bench["workloads"].WORKLOADS[workload].build(1, tmp_path)
     checker, tally = bench["checks"].Checker(), run.Tally()

@@ -1003,6 +1003,10 @@ def _exit_code(argv) -> int:
     [0.0, 0.436, 1.0, 1.196, 1.772], [3.99, 3.95, 1.80, 2.55, 2.81])])
 @example(["minimize", "--n", "2", "--alpha", "1e300", "--q", "1", "--moment", "1"])
 @example(["minimize", "--moment", "1", "--nodes", "50", "--init", "flat"])
+# solved coarse to fine: levels of 101, 202 and 403 nodes at k < 1, and eight
+# levels from 157 to 20001 nodes
+@example(["minimize", "--q", "2", "--moment", "1", "--nodes", "403", "--init", "flat"])
+@example(["minimize", "--n", "2", "--q", "1.2", "--moment", "1", "--nodes", "20001"])
 def test_exit_code_contract_holds_on_any_input(argv):
     assert _exit_code(argv) in (0, 2, 3, 4), argv
 

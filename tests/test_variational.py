@@ -211,6 +211,31 @@ class TestSolve:
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert moment == pytest.approx(problem.m_target, abs=1e-8)
 
+    @pytest.mark.parametrize("nodes", [801, 5001, 20001])
+    def test_newton_steps_do_not_grow_with_the_grid(self, nodes):
+        # each grid starts from the solution one level coarser; solved from
+        # the init on the requested grid alone, this took 55, 132 and 639 steps
+        solution = solve(make_problem(1, 2.0, 1.0, 1.0, num_nodes=nodes))
+        assert solution.converged
+        assert solution.iterations <= 60, solution.iterations
+
+    def test_fine_grid_beyond_one_dimension(self):
+        # 144 Newton steps when solved on the 20001-node grid directly
+        problem = make_problem(2, 2.0, 1.2, 1.0, num_nodes=20001)
+        solution = solve(problem)
+        assert solution.converged
+        assert solution.iterations <= 72, solution.iterations
+        assert _recovery(problem, solution)[0] <= 1e-6
+
+    def test_a_capped_penalty_is_not_handed_up(self):
+        # the 166-node level takes the penalty to its cap; carried to the
+        # 331-node level, that penalty ended at L2 0.68 with objective gap 28
+        problem = make_problem(4, 1.7964834298662784, 2.0233652091712897, 2.5455629964311,
+                               num_nodes=331)
+        solution = solve(problem)
+        l2, objective_gap, prop1_gap = _recovery(problem, solution)
+        assert l2 <= 1e-3 and objective_gap <= 1e-4 and prop1_gap <= 1e-3, (l2, objective_gap)
+
 
 def _recovery(problem, solution):
     """Criterion-08 measures: relative L2 distance to the extremal profile,
