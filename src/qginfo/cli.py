@@ -25,7 +25,7 @@ import threading
 import numpy as np
 
 from . import validity
-from .errors import ConvergenceError, DivergenceError, DomainError, ZeroDensityError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .inequalities import (
     DEFAULT_EQ_TOL,
     DEFAULT_REL_TOL,
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a command replaced on the module is the one that runs
         return globals()["cmd_" + args.subcommand](args)
-    except (DomainError, ZeroDensityError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and ZeroDensityError among them
         return _fail(str(exc), EXIT_INVALID)
     except (OverflowError, ZeroDivisionError) as exc:
         # Python's own words ("math range error", "(34, 'Numerical result out of

@@ -66,15 +66,21 @@ __all__ = [
 
 INITS = ("flat", "exponential", "qgaussian-detuned")
 
-# |u'|^beta smoothing used when beta < 2 makes the integrand non-smooth at 0
+# the energy density |u'|^beta is taken as (u'^2 + eps^2)^(beta/2) for every
+# beta. Unsmoothed, it is not twice differentiable at u' = 0 when beta < 2, and
+# when beta > 2 its curvature beta (beta-1) |u'|^(beta-2) vanishes wherever the
+# profile is flat, which leaves the Newton system singular to rounding there;
+# smoothed, that curvature is at least beta eps^(beta-2) per unit weight. eps
+# is absolute, in units of u'
 _SMOOTHING_EPS = 1e-8
 
 # largest radial grid accepted; a solve peaks near 75 doubles per node (band
 # storage and its copies, LU factors, right-hand sides), so about 60 MB here.
 # Measured at this size with alpha = 2, m = 1 on a 2-vCPU VM, one BLAS thread,
-# solved coarse to fine over ten levels: n = 1, q = 1 takes 46 Newton steps
-# (1 on the finest level) and 0.19 s, n = 2, q = 1.2 takes 59 steps (1 on the
-# finest) and 0.52 s, and the whole process peaks at 111 MB
+# solved coarse to fine over ten levels: n = 1, q = 1 takes 47 Newton steps
+# (1 on the finest level) and 0.15-0.17 s (0.23-0.27 s as a process's first
+# solve), n = 2, q = 1.2 takes 55 steps (1 on the finest) and 0.41-0.45 s
+# (0.71-0.74 s first), and the whole process peaks at 111-117 MB
 MAX_NODES = 100_001
 
 # augmented-Lagrangian (AL) budget: outer steps, and the constraint violation that ends them
@@ -90,9 +96,6 @@ _RHO_MAX = 1e12
 _MAX_NEWTON = 200
 _MAX_BACKTRACK = 50
 _DECREMENT_TOL = 1e-14
-# diagonal shift, in units of the largest energy-Hessian diagonal entry, tried
-# when neither the exact nor the clipped constraint curvature gives descent
-_SHIFT = 1e-8
 # times a Newton step is retaken after freeing pinned nodes it would lift
 _RELEASE_ROUNDS = 3
 # nodes at or below this fraction of max u are near the bound: the Newton
@@ -224,7 +227,7 @@ class _Discretization:
     use trapezoid weights with Gregory end corrections.
     """
 
-    def __init__(self, problem: VariationalProblem, smoothing_eps: float):
+    def __init__(self, problem: VariationalProblem):
         r = problem.grid
         h = float(r[1] - r[0])
         n = problem.n
@@ -243,7 +246,6 @@ class _Discretization:
         self.beta = problem.beta
         self.k = problem.k
         self.m_target = problem.m_target
-        self.eps = smoothing_eps
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         padded = np.concatenate(([0.0], u, [0.0]))
@@ -254,17 +256,11 @@ class _Discretization:
         """Energy, its gradient, and W phi''(d), from which energy_hessian builds the Hessian."""
         d = self.derivative(u)
         beta = self.beta
-        if self.eps > 0.0:
-            eps2 = self.eps * self.eps
-            base = d * d + eps2
-            phi = base ** (0.5 * beta)
-            dphi = beta * d * base ** (0.5 * beta - 1.0)
-            phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
-        else:
-            ad = np.abs(d)
-            phi = ad**beta
-            dphi = beta * np.sign(d) * ad ** (beta - 1.0)
-            phi2 = beta * (beta - 1.0) * ad ** (beta - 2.0)
+        eps2 = _SMOOTHING_EPS * _SMOOTHING_EPS
+        base = d * d + eps2
+        phi = base ** (0.5 * beta)
+        dphi = beta * d * base ** (0.5 * beta - 1.0)
+        phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
         value = float(self.wmid @ phi)
         s = self.wmid * dphi
         grad = np.zeros(u.size + 2)
@@ -370,14 +366,13 @@ def _projected_newton_step(hessian: np.ndarray, curvature: np.ndarray, grad: np.
     """Newton direction of the AL function and the pinned set it was taken with, or None.
 
     The AL Hessian is the energy Hessian plus the diagonal constraint
-    ``curvature`` plus rho J^T J. The exact curvature is tried first, then
-    its positive part, then that plus a small diagonal shift, until the step
-    is a descent direction. A pinned node whose gradient the step is
-    predicted to turn negative is then freed and the step taken again, up to
-    _RELEASE_ROUNDS times, so a front of nodes leaves the bound in one step.
+    ``curvature`` plus rho J^T J. It makes two tries: the exact curvature,
+    then its positive part when the first step is not a descent direction. A
+    pinned node whose gradient the step is predicted to turn negative is then
+    freed and the step taken again, up to _RELEASE_ROUNDS times, so a front
+    of nodes leaves the bound in one step.
     """
-    convex = np.maximum(curvature, 0.0)
-    for diagonal in (curvature, convex, convex + _SHIFT * float(np.max(hessian[3]))):
+    for diagonal in (curvature, np.maximum(curvature, 0.0)):
         step = _newton_step(hessian, diagonal, grad, jac, rho, pinned)
         if step is not None:
             break
@@ -505,10 +500,12 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     penalty; each AL subproblem is solved by projected Newton steps on
     u >= 0 (Bertsekas, SIAM J. Control Optim. 20, 1982). A node is pinned to
     the bound when its gradient would carry it there; the free nodes take the
-    Newton step of the AL function, with the negative part of the constraint
-    curvature clipped (and then a diagonal shift added) only when the exact
-    step is not a descent direction, and an Armijo search runs along the
-    projection arc. The outer node is held at the bound. When k < 1, where
+    Newton step of the AL function in at most two tries, with the exact
+    constraint curvature and then, when that step is not a descent direction,
+    with its negative part clipped, and an Armijo search runs along the
+    projection arc. The energy density |u'|^beta is smoothed to
+    (u'^2 + eps^2)^(beta/2) for every beta; the reported objective is the
+    unsmoothed one. The outer node is held at the bound. When k < 1, where
     u^k has unbounded slope at 0, the constraints replace u^k below a level
     delta by a quadratic, and delta falls from a tenth of max u to the scale
     of u one grid cell inside the support edge over the outer steps; the
@@ -534,14 +531,13 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
     ``converged`` and a ``ConvergenceError`` are those of the requested grid;
     ``iterations`` counts the Newton steps of all levels.
     """
-    eps = _SMOOTHING_EPS if problem.beta < 2.0 else 0.0
     k = problem.k
     steps = 0
     level = None
     for size in _level_sizes(problem.grid.size):
         coarse, level = level, (problem if size == problem.grid.size
                                 else replace(problem, grid=np.linspace(0.0, problem.R, size)))
-        disc = _Discretization(level, eps)
+        disc = _Discretization(level)
         if coarse is None:
             u = _initial_profile(level, init, disc)
             first = _DELTA_START
@@ -578,7 +574,7 @@ def solve(problem: VariationalProblem, init: str = "exponential") -> Variational
         multipliers=(float(multipliers[0]), float(multipliers[1])),
         iterations=steps,
         converged=converged,
-        smoothing_eps=eps,
+        smoothing_eps=_SMOOTHING_EPS,
         problem=problem,
     )
     if not converged:

@@ -4,14 +4,20 @@ import itertools
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_draw_300_rebuilds_its_first_inputs(monkeypatch, load_module):
+def _load_scans(monkeypatch, load_module):
     monkeypatch.setattr(sys, "path", list(sys.path))  # scans.py puts src/ and bench/ first
     for name in ("workloads", "checks"):  # the names checks.py and scans.py import
         load_module(name, ROOT / "bench" / f"{name}.py")
-    scans = load_module("scans", ROOT / "tools" / "scans.py")
+    return load_module("scans", ROOT / "tools" / "scans.py")
+
+
+def test_draw_300_rebuilds_its_first_inputs(monkeypatch, load_module):
+    scans = _load_scans(monkeypatch, load_module)
     lines = []
     counts = scans.scan("draw-300", itertools.islice(scans.draw_300(), 3), write=lines.append)
     expected = [
@@ -27,3 +33,34 @@ def test_draw_300_rebuilds_its_first_inputs(monkeypatch, load_module):
         assert line.startswith(start), line
     assert lines[-1].startswith("draw-300: 3 inputs: 2 fail, 1 pass; sha256 "), lines[-1]
     assert counts == {"pass": 1, "fail": 2}
+
+
+# the first 3 inputs of each other scan: the argv after the subcommand, and the outcome
+FIRST_INPUTS = {
+    "scale": [
+        ("--n 1 --alpha 2.0 --q 1.0 --moment 1e-12 --nodes 401", "fail"),
+        ("--n 1 --alpha 2.0 --q 1.0 --moment 1e-06 --nodes 401", "raise"),
+        ("--n 1 --alpha 2.0 --q 1.0 --moment 1.0 --nodes 401", "pass"),
+    ],
+    "edge-54": [
+        ("--method both --n 1 --alpha 1.5 --q 0.401", "pass"),
+        ("--method both --n 1 --alpha 1.5 --q 0.4001", "raise"),
+        ("--method both --n 1 --alpha 1.5 --q 0.40001000000000003", "raise"),
+    ],
+    "heavy-36": [
+        ("--method both --n 5 --alpha 2.0 --q 0.7172857142857143", "pass"),
+        ("--method both --n 5 --alpha 2.0 --q 0.7242857142857143", "pass"),
+        ("--method both --n 5 --alpha 2.0 --q 0.7442857142857143", "pass"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", FIRST_INPUTS)
+def test_each_scan_rebuilds_its_first_inputs(name, monkeypatch, load_module):
+    scans = _load_scans(monkeypatch, load_module)
+    lines = []
+    scans.scan(name, itertools.islice(scans.SCANS[name](), 3), write=lines.append)
+    assert len(lines) == 4, lines
+    for index, (line, (argv, outcome)) in enumerate(zip(lines, FIRST_INPUTS[name])):
+        assert line.startswith(f"{index:3d} {argv} {outcome}"), line
+    assert lines[-1].startswith(f"{name}: 3 inputs: "), lines[-1]

@@ -236,6 +236,17 @@ class TestSolve:
         l2, objective_gap, prop1_gap = _recovery(problem, solution)
         assert l2 <= 1e-3 and objective_gap <= 1e-4 and prop1_gap <= 1e-3, (l2, objective_gap)
 
+    def test_beta_above_two_is_smoothed_where_the_profile_is_flat(self):
+        # beta = 2.15: with the unsmoothed |u'|^beta the energy curvature fell
+        # to about 1e-16 where the profile is flat, and this run ended at
+        # L2 3.8e-3, objective gap 2.6e-3 and Prop. 1 gap 1.5e-2
+        problem = make_problem(1, 1.870320577622628, 1.890297271763339, 2.09355300289704,
+                               num_nodes=259)
+        solution = solve(problem, init="qgaussian-detuned")
+        l2, objective_gap, prop1_gap = _recovery(problem, solution)
+        assert l2 <= 1e-3 and objective_gap <= 1e-4 and prop1_gap <= 1e-3, (
+            l2, objective_gap, prop1_gap)
+
 
 def _recovery(problem, solution):
     """Criterion-08 measures: relative L2 distance to the extremal profile,

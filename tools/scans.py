@@ -2,7 +2,9 @@
 
 Usage, from the root of the repository:
 
-    python3 tools/scans.py draw-300
+    python3 tools/scans.py NAME
+
+with NAME one of draw-300, scale, edge-54 and heavy-36.
 
 A scan prints one line per input (the input, its outcome and, for an input
 that does not pass, the reason the benchmark's output check gives) and then
@@ -22,6 +24,24 @@ Scans:
                 Each input runs as `minimize` and is scored by the benchmark's
                 `minimize` check: L2 <= 1e-3, objective gap <= 1e-4 and
                 Prop. 1 gap <= 1e-3.
+
+    scale       `minimize --alpha 2.0 --moment m` with the default init, for
+                (n, q, nodes) in ((1, 1.0, 401), (2, 1.2, 201), (3, 1.1, 201))
+                and, for each, m in (1e-12, 1e-6, 1, 1e6, 1e12, 1e24): the
+                extremal at moment m is a dilation of the one at m = 1, so a
+                solver that is the same at every scale gives each case one
+                outcome at all six m. Scored as draw-300 is.
+
+    edge-54     `measures --method both` at q = n/(n + alpha) + 10^-e, next to
+                the edge below which M_q and m_alpha are infinite, for n in
+                (1, 2, 3), alpha in (1.5, 2, 3) and e in (3, ..., 8), in
+                that nesting. Scored by the benchmark's `measures` check:
+                max_rel_gap <= 1e-6.
+
+    heavy-36    `measures --method both` at q = n/(n + alpha) + dq for n in
+                (5, 8, 12), alpha in (2, 3, 6) and dq in (0.003, 0.01, 0.03,
+                0.1), in that nesting: the members of the test suite's
+                test_heavy_tails_are_right_or_divergent. Scored as edge-54 is.
 """
 
 import argparse
@@ -67,6 +87,39 @@ def draw_300():
             yield Op("minimize", argv, dict(n=n, alpha=alpha, q=q, moment=m, nodes=nodes))
 
 
+def scale():
+    """The 18 `minimize` ops of the moment-scale scan, in order."""
+    for n, q, nodes in ((1, 1.0, 401), (2, 1.2, 201), (3, 1.1, 201)):
+        for m in (1e-12, 1e-6, 1.0, 1e6, 1e12, 1e24):
+            argv = ("minimize", "--n", str(n), "--alpha", "2.0", "--q", repr(q),
+                    "--moment", repr(m), "--nodes", str(nodes))
+            yield Op("minimize", argv, dict(n=n, alpha=2.0, q=q, moment=m, nodes=nodes))
+
+
+def _measures(n, alpha, q):
+    argv = ("measures", "--method", "both", "--n", str(n), "--alpha", repr(alpha), "--q", repr(q))
+    return Op("measures", argv, dict(n=n, alpha=alpha, q=q))
+
+
+def edge_54():
+    """The 54 `measures` ops next to q = n/(n + alpha), in order."""
+    for n in (1, 2, 3):
+        for alpha in (1.5, 2.0, 3.0):
+            for e in range(3, 9):
+                yield _measures(n, alpha, n / (n + alpha) + 10.0**-e)
+
+
+def heavy_36():
+    """The 36 `measures` ops on power tails in 5 to 12 dimensions, in order."""
+    for n in (5, 8, 12):
+        for alpha in (2.0, 3.0, 6.0):
+            for dq in (0.003, 0.01, 0.03, 0.1):
+                yield _measures(n, alpha, n / (n + alpha) + dq)
+
+
+SCANS = {"draw-300": draw_300, "scale": scale, "edge-54": edge_54, "heavy-36": heavy_36}
+
+
 def run_op(op, checker):
     """(outcome, reason, seconds in cli.main) of one op."""
     out, err = io.StringIO(), io.StringIO()
@@ -102,9 +155,9 @@ def scan(name, ops, write=print):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("scan", choices=["draw-300"])
+    parser.add_argument("scan", choices=SCANS)
     args = parser.parse_args(argv)
-    scan(args.scan, draw_300())
+    scan(args.scan, SCANS[args.scan]())
     return 0
 
 
