@@ -95,9 +95,43 @@ def _emit(text, out: str | None):
             sys.stdout.write("\n")
 
 
-def _json_text(obj) -> str:
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, default=float, allow_nan=False)
+
+
+def _float_items(value):
+    """The items of a non-empty list of finite floats as json.dumps writes
+    them one level into an indented object, or None for any other value."""
+    if type(value) is not list or not value:
+        return None
+    try:
+        text = ",\n    ".join(map(float.__repr__, value))
+    except TypeError:  # an item that is not a float
+        return None
+    # a finite float's repr has no "n"; nan and inf are left to json.dumps to refuse
+    return None if "n" in text else text
+
+
+def _json_text(obj: dict) -> str:
+    """The report obj, keyed by strings, as strict JSON with an indent of 2,
+    byte for byte as json.dumps writes it.
+
+    json.dumps encodes in Python item by item once it indents; a top-level
+    list of finite floats (minimize's grid and profile) is written instead in
+    one join of float.__repr__, the form json.dumps gives each such float.
+    Any other payload goes to json.dumps whole.
+    """
     try:  # strict JSON: a NaN or an infinity in a report is a numeric failure
-        return json.dumps(obj, indent=2, default=float, allow_nan=False)
+        joined = {key: _float_items(value) for key, value in obj.items()}
+        if not any(joined.values()):
+            return _json_dumps(obj)
+        members = []
+        for key, value in obj.items():
+            text = joined[key]
+            # json.dumps's text of a nested value, indented one level further
+            text = f"[\n    {text}\n  ]" if text else _json_dumps(value).replace("\n", "\n  ")
+            members.append(f"{_json_dumps(key)}: {text}")
+        return "{\n  " + ",\n  ".join(members) + "\n}"
     except ValueError as exc:
         raise DivergenceError(f"the report holds a non-finite value ({exc})") from None
 

@@ -73,14 +73,17 @@ INITS = ("flat", "exponential", "qgaussian-detuned")
 # smoothed, that curvature is at least beta eps^(beta-2) per unit weight. eps
 # is absolute, in units of u'
 _SMOOTHING_EPS = 1e-8
+# the smallest normal double, the floor of u where u^k is taken without delta
+_TINY = 2.2250738585072014e-308
 
-# largest radial grid accepted; a solve peaks near 75 doubles per node (band
-# storage and its copies, LU factors, right-hand sides), so about 60 MB here.
-# Measured at this size with alpha = 2, m = 1 on a 2-vCPU VM, one BLAS thread,
-# solved coarse to fine over ten levels: n = 1, q = 1 takes 47 Newton steps
-# (1 on the finest level) and 0.15-0.17 s (0.23-0.27 s as a process's first
-# solve), n = 2, q = 1.2 takes 55 steps (1 on the finest) and 0.41-0.45 s
-# (0.71-0.74 s first), and the whole process peaks at 111-117 MB
+# largest radial grid accepted; a solve peaks near 52 doubles per node (the
+# band gbsv factors in place, the energy Hessian, right-hand sides and the
+# level's arrays), so about 42 MB here. Measured at this size with alpha = 2,
+# m = 1 on a shared 2-vCPU VM, one BLAS thread, solved coarse to fine over ten
+# levels: n = 1, q = 1 takes 47 Newton steps (1 on the finest level) and
+# 0.13-0.19 s (0.27-0.31 s as a process's first solve, loading scipy.linalg),
+# n = 2, q = 1.2 takes 55 steps (1 on the finest) and 0.38-0.59 s (0.62-0.97 s
+# first), and the whole process peaks at 108-110 MB
 MAX_NODES = 100_001
 
 # augmented-Lagrangian (AL) budget: outer steps, and the constraint violation that ends them
@@ -243,17 +246,34 @@ class _Discretization:
         w[[1, -2]] += h / 12.0
         self.wgeo = surface * w * r ** (n - 1)
         self.wmom = surface * w * r ** (n - 1 + problem.alpha)
+        self.weights = np.vstack((self.wgeo, self.wmom))
         self.beta = problem.beta
         self.k = problem.k
         self.m_target = problem.m_target
+        # the free-node indicator with three True on either side, and the seven
+        # windows of it that the Newton matrix's band rows read
+        self._free = np.ones(r.size + 6, dtype=bool)
+        self._free_windows = np.lib.stride_tricks.sliding_window_view(self._free, r.size)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        padded = np.concatenate(([0.0], u, [0.0]))
-        m = u.size - 1
-        return sum(self.stencil[o] * padded[o:o + m] for o in range(4))
+        """d = D u. The reduction adds the four stencil terms of each midpoint
+        in increasing offset, starting from add's identity 0.0."""
+        padded = np.zeros(u.size + 2)
+        padded[1:-1] = u
+        # row o: the m nodes from u_{o-1} on, the ones stencil row o multiplies
+        windows = np.ndarray((4, u.size - 1), buffer=padded, strides=(padded.itemsize,) * 2)
+        return np.add.reduce(self.stencil * windows, axis=0)
 
     def energy(self, u: np.ndarray):
-        """Energy, its gradient, and W phi''(d), from which energy_hessian builds the Hessian."""
+        """Energy, its gradient, and W phi''(d), from which energy_hessian builds the Hessian.
+
+        The gradient D^T s takes stencil[o, j] s_j at node j + o - 1. Row o of
+        a (4, m + 4) buffer holds stencil[o] s in its first m entries and -0.0
+        after them; read as rows of m + 3 entries, row o is that product
+        shifted o places right, with -0.0 around it. -0.0 is the identity of
+        floating-point addition, so the reduction over the rows adds each
+        node's terms in increasing o, starting from 0.0.
+        """
         d = self.derivative(u)
         beta = self.beta
         eps2 = _SMOOTHING_EPS * _SMOOTHING_EPS
@@ -262,40 +282,85 @@ class _Discretization:
         dphi = beta * d * base ** (0.5 * beta - 1.0)
         phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
         value = float(self.wmid @ phi)
-        s = self.wmid * dphi
-        grad = np.zeros(u.size + 2)
-        for o in range(4):
-            grad[o:o + s.size] += self.stencil[o] * s
+        m = d.size
+        terms = np.empty((4, m + 4))
+        terms[:, m:] = -0.0
+        np.multiply(self.stencil, self.wmid * dphi, out=terms[:, :m])
+        grad = np.add.reduce(terms.reshape(-1)[:4 * (m + 3)].reshape(4, m + 3), axis=0)
         return value, grad[1:-1], self.wmid * phi2
 
     def energy_hessian(self, curv: np.ndarray) -> np.ndarray:
-        """D^T diag(curv) D in the (3, 3) band storage of solve_banded; curv is energy's W phi''(d)."""
+        """D^T diag(curv) D in the (3, 3) band storage of solve_banded; curv is energy's W phi''(d).
+
+        The term curv * stencil[o1] * stencil[o2] lands in band row
+        3 + o1 - o2, shifted o2 columns right. The four terms of one o2 form a
+        block of four band rows, formed from curv * stencil once, and the
+        blocks are added to a zero band in increasing o2. Two terms that meet
+        in one entry have o1 - o2 in common, so each entry is 0.0 plus its
+        terms (curv * stencil[o1]) * stencil[o2] in increasing o1, whatever
+        the grid size.
+        """
         m = curv.size
         band = np.zeros((7, m + 3))
-        for o1 in range(4):
-            for o2 in range(4):
-                band[3 + o1 - o2, o2:o2 + m] += curv * self.stencil[o1] * self.stencil[o2]
+        products = curv * self.stencil
+        for o2 in range(4):
+            band[3 - o2:7 - o2, o2:o2 + m] += products * self.stencil[o2]
         return band[:, 1:-1]
 
+    def newton_system(self, hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
+                      jac: np.ndarray, pinned: np.ndarray):
+        """The Newton system off the pinned nodes, as gbsv takes it.
+
+        ab is ``hessian`` plus ``diagonal`` in gbsv's band storage, with the
+        rows and columns of pinned nodes cleared and 1 on their diagonal; rhs
+        holds the right-hand sides grad and the two rows of jac, zero at
+        pinned nodes, as (3, N).
+
+        Band row 3 + o, column j holds the entry (j + o, j), which is kept
+        where nodes j and j + o are both free: it is multiplied by the 0/1
+        mask f[j + o] & f[j], read from a window of the free-node indicator.
+        Multiplying by 0 or 1 is exact, so ab has the bits of multiplying each
+        band row by f[j] * f[j + o]. The windows' padding of True reaches only
+        the band's corners outside the matrix, which hold +0.0 either way.
+        """
+        f = self._free[3:-3]
+        np.logical_not(pinned, out=f)
+        # gbsv's storage: the (3, 3) band below 3 rows for the LU factors'
+        # fill-in, in the Fortran order gbsv works in, so that it factors ab
+        # itself and not a copy
+        ab = np.zeros((10, f.size), order="F")
+        np.multiply(hessian, self._free_windows & f, out=ab[3:])
+        ab[6] += np.where(pinned, 1.0, diagonal)
+        rhs = np.empty((3, f.size))
+        np.multiply(grad, f, out=rhs[0])
+        np.multiply(jac, f, out=rhs[1:])
+        return ab, rhs
+
     def constraints(self, u: np.ndarray, delta: float):
-        uk, duk, _ = _power(u, self.k, delta)
+        uk, duk = _power(u, self.k, delta)
         c = np.array([float(self.wgeo @ uk) - 1.0, float(self.wmom @ uk) - self.m_target])
-        jac = np.vstack([self.wgeo * duk, self.wmom * duk])
-        return c, jac
+        return c, self.weights * duk
 
 
 def _power(u: np.ndarray, k: float, delta: float):
-    """u^k and its first two derivatives, replaced below delta > 0 by the
-    quadratic with the value and slope of u^k at delta."""
-    x = np.maximum(u, delta if delta > 0.0 else np.finfo(float).tiny)
-    value, slope, curvature = x**k, k * x ** (k - 1.0), k * (k - 1.0) * x ** (k - 2.0)
+    """u^k and its slope, replaced below delta > 0 by the quadratic with the
+    value and slope of u^k at delta."""
+    x = np.maximum(u, delta if delta > 0.0 else _TINY)
+    value, slope = x**k, k * x ** (k - 1.0)
     if delta > 0.0:
         low = u < delta
         t = u[low] / delta
         value[low] = delta**k * t * ((2.0 - k) - (1.0 - k) * t)
         slope[low] = delta ** (k - 1.0) * ((2.0 - k) - 2.0 * (1.0 - k) * t)
-        curvature[low] = -2.0 * (1.0 - k) * delta ** (k - 2.0)
-    return value, slope, curvature
+    return value, slope
+
+
+def _power_curvature(u: np.ndarray, k: float, delta: float) -> np.ndarray:
+    """The second derivative of _power's u^k."""
+    curvature = k * (k - 1.0) * np.maximum(u, delta if delta > 0.0 else _TINY) ** (k - 2.0)
+    if delta > 0.0:
+        curvature[u < delta] = -2.0 * (1.0 - k) * delta ** (k - 2.0)
+    return curvature
 
 
 def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretization) -> np.ndarray:
@@ -319,50 +384,54 @@ def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretizati
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of a matrix in (3, 3) band storage with a vector."""
-    y = band[3] * x
-    for o in range(1, 4):
-        y[o:] += band[3 + o, :-o] * x[:-o]
-        y[:-o] += band[3 - o, o:] * x[o:]
+    """Product of a matrix in (3, 3) band storage with a vector.
+
+    Row i takes band[3 + o, i - o] x[i - o] for o = 0, 1, -1, 2, -2, 3, -3
+    in turn. The products sit in a buffer padded with three -0.0 on either
+    side, the identity of floating-point addition, so the terms that fall
+    outside the matrix add nothing and each sum keeps that order.
+    """
+    n = x.size
+    terms = np.empty((7, n + 6))
+    terms[:, :3] = terms[:, -3:] = -0.0
+    np.multiply(band, x, out=terms[:, 3:-3])
+    y = terms[3, 3:n + 3] + terms[4, 2:n + 2]
+    for row, start in ((2, 4), (5, 1), (1, 5), (6, 0), (0, 6)):
+        y += terms[row, start:start + n]
     return y
 
 
-def _newton_step(hessian: np.ndarray, diagonal: np.ndarray, grad: np.ndarray,
-                 jac: np.ndarray, rho: float, pinned: np.ndarray):
+def _newton_step(disc: _Discretization, hessian: np.ndarray, diagonal: np.ndarray,
+                 grad: np.ndarray, jac: np.ndarray, rho: float, pinned: np.ndarray):
     """Descent direction p solving (H + rho J^T J) p = -grad off the pinned nodes, or None.
 
     H is ``hessian`` (in the (3, 3) storage of solve_banded) plus ``diagonal``;
     pinned nodes get p = 0. One banded solve with three right-hand sides and
     a 2x2 Woodbury system give p. None means H is singular there or p is not
-    a descent direction.
+    a descent direction. gbsv factors ``disc.newton_system``'s ab in place
+    and solves a copy of its rhs, handed over as the Fortran-ordered (N, 3)
+    rhs.T, so rhs[1:] is still J off the pinned nodes afterwards.
     """
-    f = (~pinned).astype(float)
-    # gbsv's storage: the (3, 3) band below 3 rows for the LU factors' fill-in
-    ab = np.zeros((10, f.size))
-    ab[3:] = hessian
-    for o in range(-3, 4):
-        lo, hi = max(0, -o), f.size - max(0, o)
-        ab[6 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
-    ab[6] += np.where(pinned, 1.0, diagonal)
-    jf = jac * f
-    _, _, sol, info = _special.gbsv(3, 3, ab, np.column_stack((grad * f, jf.T)),
-                                    overwrite_ab=True, overwrite_b=True)
+    ab, rhs = disc.newton_system(hessian, diagonal, grad, jac, pinned)
+    sol, info = _special.gbsv(3, 3, ab, rhs.T, overwrite_ab=True)[2:]
+    del ab  # the LU factors, 10 doubles a node, are not needed past the solve
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbsv")
     if info > 0:
         return None  # H is singular
+    jf = rhs[1:]
     try:
         capacitance = np.eye(2) / rho + jf @ sol[:, 1:]
         step = sol[:, 1:] @ np.linalg.solve(capacitance, jf @ sol[:, 0]) - sol[:, 0]
     except np.linalg.LinAlgError:
         return None
-    if not (np.all(np.isfinite(step)) and grad @ step < 0.0):
+    if not (np.isfinite(step).all() and grad @ step < 0.0):
         return None
     return step
 
 
-def _projected_newton_step(hessian: np.ndarray, curvature: np.ndarray, grad: np.ndarray,
-                           jac: np.ndarray, rho: float, pinned: np.ndarray):
+def _projected_newton_step(disc: _Discretization, hessian: np.ndarray, curvature: np.ndarray,
+                           grad: np.ndarray, jac: np.ndarray, rho: float, pinned: np.ndarray):
     """Newton direction of the AL function and the pinned set it was taken with, or None.
 
     The AL Hessian is the energy Hessian plus the diagonal constraint
@@ -370,22 +439,24 @@ def _projected_newton_step(hessian: np.ndarray, curvature: np.ndarray, grad: np.
     then its positive part when the first step is not a descent direction. A
     pinned node whose gradient the step is predicted to turn negative is then
     freed and the step taken again, up to _RELEASE_ROUNDS times, so a front
-    of nodes leaves the bound in one step.
+    of nodes leaves the bound in one step. The outer node is never freed.
     """
     for diagonal in (curvature, np.maximum(curvature, 0.0)):
-        step = _newton_step(hessian, diagonal, grad, jac, rho, pinned)
+        step = _newton_step(disc, hessian, diagonal, grad, jac, rho, pinned)
         if step is not None:
             break
     else:
         return None
     for _ in range(_RELEASE_ROUNDS):
+        if not pinned[:-1].any():
+            break
         predicted = grad + _band_matvec(hessian, step) + diagonal * step + rho * jac.T @ (jac @ step)
         release = pinned & (predicted < 0.0)
         release[-1] = False
         if not release.any():
             break
         pinned = pinned & ~release
-        step = _newton_step(hessian, diagonal, grad, jac, rho, pinned)
+        step = _newton_step(disc, hessian, diagonal, grad, jac, rho, pinned)
         if step is None:
             return None
     return step, pinned
@@ -434,8 +505,9 @@ def _solve_level(disc: _Discretization, u: np.ndarray, lam: np.ndarray, rho: flo
     the constraints were met at the last delta.
     """
     k = disc.k
-    delta = schedule[0] * float(np.max(u))
-    weights = np.vstack((disc.wgeo, disc.wmom))
+    umax = float(u.max())
+    delta = schedule[0] * umax
+    hessian = disc.energy_hessian(energy_u[2])
     steps = 0
     previous_violation = math.inf
 
@@ -446,26 +518,24 @@ def _solve_level(disc: _Discretization, u: np.ndarray, lam: np.ndarray, rho: flo
         return e + lam @ c + 0.5 * rho * (c @ c), ge + jac.T @ mu, mu
 
     for fraction in schedule:
-        new_delta = fraction * float(np.max(u))
+        new_delta = fraction * umax
         if new_delta != delta:  # the constraints read delta, the energy does not
             delta = new_delta
             constraints_u = disc.constraints(u, delta)
         value, grad, mu = al_function(energy_u, constraints_u)
         for _ in range(_MAX_NEWTON):
             jac = constraints_u[1]
-            hessian = disc.energy_hessian(energy_u[2])
-            umax = float(np.max(u))
             # pin a node near the bound whose diagonal Newton step would reach it
-            diagonal = hessian[3] + rho * np.sum(jac * jac, axis=0)
+            diagonal = hessian[3] + rho * np.add.reduce(jac * jac, axis=0)
             pinned = (u <= _NEAR_BOUND * umax) & (u * diagonal <= grad)
             pinned[-1] = True
             # u^k has unbounded curvature at 0 when k < 2: take it at 1e-8 max u or above
-            curvature = (mu @ weights) * _power(np.maximum(u, 1e-8 * umax), k, delta)[2]
-            found = _projected_newton_step(hessian, curvature, grad, jac, rho, pinned)
+            curvature = (mu @ disc.weights) * _power_curvature(np.maximum(u, 1e-8 * umax), k, delta)
+            found = _projected_newton_step(disc, hessian, curvature, grad, jac, rho, pinned)
             if found is None:
                 break
             step, pinned = found
-            step[pinned] = -u[pinned]
+            np.negative(u, out=step, where=pinned)
             if -float(grad @ step) <= _DECREMENT_TOL * abs(value):
                 break
             t = 1.0
@@ -481,6 +551,8 @@ def _solve_level(disc: _Discretization, u: np.ndarray, lam: np.ndarray, rho: flo
                 break
             u, energy_u, constraints_u = trial, energy_t, constraints_t
             value, grad, mu = trial_value, trial_grad, trial_mu
+            umax = float(u.max())
+            hessian = disc.energy_hessian(energy_u[2])
             steps += 1
         c = constraints_u[0]
         violation = float(np.max(np.abs(c)))

@@ -1064,3 +1064,77 @@ def test_command_is_looked_up_when_called(monkeypatch, capsys):
     monkeypatch.setattr(qginfo.cli, "cmd_sweep", lambda args: calls.append(args.q) or 0)
     assert main(["sweep", "--q", "1.5"]) == 0
     assert calls == ["1.5"]
+
+
+# --- minimize's JSON, joined ------------------------------------------------
+# _json_text writes a top-level list of finite floats in one join; its bytes
+# must be those of json.dumps, and a non-finite value must fail as before
+
+
+def _json_dumps_text(obj):
+    """_json_text as it was: json.dumps of the whole report."""
+    try:
+        return json.dumps(obj, indent=2, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise qginfo.cli.DivergenceError(f"the report holds a non-finite value ({exc})") from None
+
+
+_JSON_EDGES = (-0.0, 0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308, -1.7976931348623157e308)
+_JSON_FLOATS = st.one_of(st.sampled_from(_JSON_EDGES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _minimize_payload(grid, u_values, objective):
+    return {
+        "config": {"subcommand": "minimize", "params": {"n": 1, "alpha": 2.0, "q": 1.0},
+                   "format": "json", "moment": 1.0, "nodes": len(grid), "init": "flat"},
+        "grid": grid,
+        "u_values": u_values,
+        "objective": objective,
+        "multipliers": {"a": -0.5, "b": np.float64(0.5)},
+        "constraints": {"normalization": 1.0, "moment": 1.0},
+        "converged": True,
+        "iterations": 12,
+        "smoothing_eps": 1e-8,
+        "prop1": {"lhs": objective, "rhs": 0.25, "rel_gap": 0.0},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(_JSON_FLOATS, max_size=40), u_values=st.lists(_JSON_FLOATS, max_size=40),
+       objective=_JSON_FLOATS)
+@example(grid=list(_JSON_EDGES), u_values=[1e-7, -0.0, 5e-324], objective=1e16)
+@example(grid=[], u_values=[0.5], objective=0.25)
+def test_minimize_json_is_json_dumps(grid, u_values, objective):
+    payload = _minimize_payload(grid, u_values, objective)
+    assert qginfo.cli._json_text(payload) == _json_dumps_text(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["grid", "u_values", "objective"])
+def test_minimize_json_refuses_a_non_finite_value_as_before(bad, where):
+    payload = _minimize_payload([0.0, 0.5, 1.0], [1.0, 0.5, 0.0], 0.25)
+    payload[where] = [0.0, bad, 1.0] if where != "objective" else bad
+    errors = []
+    for text in (qginfo.cli._json_text, _json_dumps_text):
+        with pytest.raises(qginfo.cli.DivergenceError) as caught:
+            text(payload)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def test_non_finite_profile_exits_3_with_the_same_stderr(monkeypatch, capsys):
+    solve = qginfo.cli.solve
+
+    def poisoned(problem, init):
+        solution = solve(problem, init=init)
+        solution.u_values[3] = math.nan
+        return solution
+
+    monkeypatch.setattr(qginfo.cli, "solve", poisoned)
+    argv = ["minimize", "--moment", "1", "--nodes", "101"]
+    joined = run(argv, capsys)
+    monkeypatch.setattr(qginfo.cli, "_json_text", _json_dumps_text)
+    assert joined == run(argv, capsys)
+    assert joined[:2] == (3, "")
+    assert "non-finite value" in joined[2]

@@ -1,6 +1,7 @@
 """The scans of tools/scans.py still rebuild their first inputs and outcomes."""
 
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -52,6 +53,11 @@ FIRST_INPUTS = {
         ("--method both --n 5 --alpha 2.0 --q 0.7242857142857143", "pass"),
         ("--method both --n 5 --alpha 2.0 --q 0.7442857142857143", "pass"),
     ],
+    "near-one-162": [
+        ("--method both --n 1 --alpha 1.5 --q 1.001", "pass"),
+        ("--method both --n 1 --alpha 1.5 --q 0.999", "pass"),
+        ("--method both --n 1 --alpha 1.5 --q 1.0001", "pass"),
+    ],
 }
 
 
@@ -64,3 +70,17 @@ def test_each_scan_rebuilds_its_first_inputs(name, monkeypatch, load_module):
     for index, (line, (argv, outcome)) in enumerate(zip(lines, FIRST_INPUTS[name])):
         assert line.startswith(f"{index:3d} {argv} {outcome}"), line
     assert lines[-1].startswith(f"{name}: 3 inputs: "), lines[-1]
+
+
+def test_outputs_sha256_repeats(monkeypatch, load_module):
+    # the summary's second digest covers every output byte, so two runs of the
+    # same inputs on the same tree print the same one
+    scans = _load_scans(monkeypatch, load_module)
+    digests = []
+    for _ in range(2):
+        lines = []
+        scans.scan("draw-300", itertools.islice(scans.draw_300(), 3), write=lines.append)
+        found = re.search(r"; sha256 [0-9a-f]{64}; outputs sha256 ([0-9a-f]{64}); ", lines[-1])
+        assert found, lines[-1]
+        digests.append(found.group(1))
+    assert digests[0] == digests[1]

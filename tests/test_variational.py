@@ -396,3 +396,152 @@ def test_input_checks(call, message):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# --- the solver's kernels, bit for bit against their loop forms --------------
+# The loop forms below are the kernels as they were written slice by slice.
+# The package's kernels make a fixed number of numpy calls at every grid size
+# and must keep every operand and the order of every sum, so each result has
+# the bits of its loop form, signed zeros included.
+
+
+def _loop_derivative(stencil, u):
+    padded = np.concatenate(([0.0], u, [0.0]))
+    m = u.size - 1
+    return sum(stencil[o] * padded[o:o + m] for o in range(4))
+
+
+def _loop_energy(disc, u):
+    d = _loop_derivative(disc.stencil, u)
+    beta = disc.beta
+    eps2 = variational._SMOOTHING_EPS * variational._SMOOTHING_EPS
+    base = d * d + eps2
+    phi = base ** (0.5 * beta)
+    dphi = beta * d * base ** (0.5 * beta - 1.0)
+    phi2 = beta * base ** (0.5 * beta - 2.0) * ((beta - 1.0) * d * d + eps2)
+    value = float(disc.wmid @ phi)
+    s = disc.wmid * dphi
+    grad = np.zeros(u.size + 2)
+    for o in range(4):
+        grad[o:o + s.size] += disc.stencil[o] * s
+    return value, grad[1:-1], disc.wmid * phi2
+
+
+def _loop_hessian(stencil, curv):
+    m = curv.size
+    band = np.zeros((7, m + 3))
+    for o1 in range(4):
+        for o2 in range(4):
+            band[3 + o1 - o2, o2:o2 + m] += curv * stencil[o1] * stencil[o2]
+    return band[:, 1:-1]
+
+
+def _loop_newton_system(hessian, diagonal, grad, jac, pinned):
+    f = (~pinned).astype(float)
+    ab = np.zeros((10, f.size))
+    ab[3:] = hessian
+    for o in range(-3, 4):
+        lo, hi = max(0, -o), f.size - max(0, o)
+        ab[6 + o, lo:hi] *= f[lo:hi] * f[lo + o:hi + o]
+    ab[6] += np.where(pinned, 1.0, diagonal)
+    jf = jac * f
+    return ab, np.column_stack((grad * f, jf.T)), jf
+
+
+def _loop_newton_step(hessian, diagonal, grad, jac, rho, pinned):
+    ab, rhs, jf = _loop_newton_system(hessian, diagonal, grad, jac, pinned)
+    _, _, sol, info = variational._special.gbsv(3, 3, ab, rhs, overwrite_ab=True,
+                                                overwrite_b=True)
+    if info != 0:
+        return None
+    try:
+        capacitance = np.eye(2) / rho + jf @ sol[:, 1:]
+        step = sol[:, 1:] @ np.linalg.solve(capacitance, jf @ sol[:, 0]) - sol[:, 0]
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(step)) and grad @ step < 0.0):
+        return None
+    return step
+
+
+def _loop_band_matvec(band, x):
+    y = band[3] * x
+    for o in range(1, 4):
+        y[o:] += band[3 + o, :-o] * x[:-o]
+        y[:-o] += band[3 - o, o:] * x[o:]
+    return y
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _signed(rng, size, low, high):
+    """Random values of random sign and magnitude 10^low to 10^high, about a
+    tenth of them replaced by +0.0 or -0.0."""
+    x = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(low, high, size)
+    zeros = rng.random(size) < 0.1
+    x[zeros] = rng.choice((0.0, -0.0), zeros.sum())
+    return x
+
+
+def _kernel_case(n, nodes, seed):
+    rng = np.random.default_rng(seed)
+    disc = variational._Discretization(make_problem(n, 2.0, 1.2, 1.0, num_nodes=nodes))
+    curv = 10.0 ** rng.uniform(-20.0, 5.0, nodes - 1)  # W phi''(d) is positive
+    pinned = rng.random(nodes) < rng.uniform(0.0, 0.5)
+    pinned[-1] = True
+    return rng, disc, curv, pinned
+
+
+KERNEL_CASES = [(n, nodes, seed) for n in (1, 2, 3) for nodes in (101, 1001) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("n,nodes,seed", KERNEL_CASES)
+class TestKernelsKeepTheirBits:
+    def test_derivative_and_energy(self, n, nodes, seed):
+        rng, disc, _, _ = _kernel_case(n, nodes, seed)
+        # a profile, values of either sign, and zeros of either sign only
+        zeros = rng.choice((0.0, -0.0), nodes)
+        for u in (np.abs(_signed(rng, nodes, -3.0, 3.0)), _signed(rng, nodes, -20.0, 5.0), zeros):
+            assert _same_bits(disc.derivative(u), _loop_derivative(disc.stencil, u))
+            value, grad, curv = disc.energy(u)
+            ref_value, ref_grad, ref_curv = _loop_energy(disc, u)
+            assert _same_bits(np.float64(value), np.float64(ref_value))
+            assert _same_bits(grad, ref_grad)
+            assert _same_bits(curv, ref_curv)
+
+    def test_hessian(self, n, nodes, seed):
+        _, disc, curv, _ = _kernel_case(n, nodes, seed)
+        assert _same_bits(disc.energy_hessian(curv), _loop_hessian(disc.stencil, curv))
+
+    def test_newton_system(self, n, nodes, seed):
+        rng, disc, curv, pinned = _kernel_case(n, nodes, seed)
+        hessian = disc.energy_hessian(curv)
+        diagonal = _signed(rng, nodes, -20.0, 5.0)
+        grad = _signed(rng, nodes, -20.0, 5.0)
+        jac = _signed(rng, (2, nodes), -20.0, 5.0)
+        ab, rhs = disc.newton_system(hessian, diagonal, grad, jac, pinned)
+        ref_ab, ref_rhs, _ = _loop_newton_system(hessian, diagonal, grad, jac, pinned)
+        assert _same_bits(ab, ref_ab)
+        assert _same_bits(rhs.T, ref_rhs)
+
+    def test_newton_step(self, n, nodes, seed):
+        # a positive diagonal keeps the system regular, so both forms reach the step
+        rng, disc, curv, pinned = _kernel_case(n, nodes, seed)
+        hessian = disc.energy_hessian(curv)
+        diagonal = 10.0 ** rng.uniform(-3.0, 3.0, nodes)
+        grad = _signed(rng, nodes, -3.0, 3.0)
+        jac = np.abs(_signed(rng, (2, nodes), -3.0, 0.0))
+        step = variational._newton_step(disc, hessian, diagonal, grad, jac, 1e3, pinned)
+        ref = _loop_newton_step(hessian, diagonal, grad, jac, 1e3, pinned)
+        assert step is not None and ref is not None
+        assert _same_bits(step, ref)
+
+    def test_band_matvec(self, n, nodes, seed):
+        rng, disc, curv, _ = _kernel_case(n, nodes, seed)
+        hessian = disc.energy_hessian(curv)
+        zeros = rng.choice((0.0, -0.0), nodes)
+        for x in (_signed(rng, nodes, -20.0, 5.0), zeros, np.zeros(nodes), -np.zeros(nodes)):
+            assert _same_bits(variational._band_matvec(hessian, x), _loop_band_matvec(hessian, x))

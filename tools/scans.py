@@ -4,14 +4,16 @@ Usage, from the root of the repository:
 
     python3 tools/scans.py NAME
 
-with NAME one of draw-300, scale, edge-54 and heavy-36.
+with NAME one of draw-300, scale, edge-54, heavy-36 and near-one-162.
 
 A scan prints one line per input (the input, its outcome and, for an input
 that does not pass, the reason the benchmark's output check gives) and then
 a summary: the count of each outcome, most frequent first, a sha256 over the
-input lines, and the seconds spent in `qginfo.cli.main`. Outcomes are "pass",
-"fail" (exit 0, but a gate of `bench/checks.py` is missed), "raise" (exit 3)
-and "exit N".
+input lines, a sha256 over every output byte (each input's exit code,
+standard output and standard error), and the seconds spent in
+`qginfo.cli.main`. Two trees that print the same outputs sha256 wrote the
+same bytes on every input of the scan. Outcomes are "pass", "fail" (exit 0,
+but a gate of `bench/checks.py` is missed), "raise" (exit 3) and "exit N".
 
 Scans:
 
@@ -42,6 +44,13 @@ Scans:
                 (5, 8, 12), alpha in (2, 3, 6) and dq in (0.003, 0.01, 0.03,
                 0.1), in that nesting: the members of the test suite's
                 test_heavy_tails_are_right_or_divergent. Scored as edge-54 is.
+
+    near-one-162
+                `measures --method both` at q = 1 + 10^-e and then
+                q = 1 - 10^-e, for n in (1, 2, 3), alpha in (1.5, 2, 3) and
+                e in (3, ..., 11), in that nesting: the members next to q = 1,
+                where the quadrature's H_q divides the error of M_q by 1 - q.
+                Scored as edge-54 is; a failing line gives max_rel_gap.
 """
 
 import argparse
@@ -117,39 +126,53 @@ def heavy_36():
                 yield _measures(n, alpha, n / (n + alpha) + dq)
 
 
-SCANS = {"draw-300": draw_300, "scale": scale, "edge-54": edge_54, "heavy-36": heavy_36}
+def near_one_162():
+    """The 162 `measures` ops next to q = 1, in order."""
+    for n in (1, 2, 3):
+        for alpha in (1.5, 2.0, 3.0):
+            for e in range(3, 12):
+                for sign in (1.0, -1.0):
+                    yield _measures(n, alpha, 1.0 + sign * 10.0**-e)
+
+
+SCANS = {"draw-300": draw_300, "scale": scale, "edge-54": edge_54, "heavy-36": heavy_36,
+         "near-one-162": near_one_162}
 
 
 def run_op(op, checker):
-    """(outcome, reason, seconds in cli.main) of one op."""
+    """(outcome, reason, seconds in cli.main, output bytes) of one op; the
+    output bytes are the exit code, a newline, stdout, a NUL, stderr, a NUL."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         started = time.perf_counter()
         code = cli.main(list(op.argv))
         seconds = time.perf_counter() - started
+    output = f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode("utf-8")
     result = checker.check(op, code, None, out.getvalue(), err.getvalue())
     if result.ok:
-        return "pass", "", seconds
+        return "pass", "", seconds, output
     outcome = "fail" if code == 0 else "raise" if code == cli.EXIT_DIVERGED else f"exit {code}"
-    return outcome, result.reason, seconds
+    return outcome, result.reason, seconds, output
 
 
 def scan(name, ops, write=print):
     """Run `ops` as scan `name`, writing each line; returns the outcome counts."""
     checker = Checker()
     counts = collections.Counter()
-    digest = hashlib.sha256()
+    digest, outputs = hashlib.sha256(), hashlib.sha256()
     total = 0.0
     for index, op in enumerate(ops):
-        outcome, reason, seconds = run_op(op, checker)
+        outcome, reason, seconds, output = run_op(op, checker)
         counts[outcome] += 1
         total += seconds
+        outputs.update(output)
         line = " ".join((f"{index:3d}", *op.argv[1:], outcome, reason)).rstrip()
         digest.update(line.encode("utf-8") + b"\n")
         write(line)
     write(f"{name}: {sum(counts.values())} inputs: "
           + ", ".join(f"{count} {outcome}" for outcome, count in counts.most_common())
-          + f"; sha256 {digest.hexdigest()}; {total:.1f} s in cli.main")
+          + f"; sha256 {digest.hexdigest()}; outputs sha256 {outputs.hexdigest()}"
+          + f"; {total:.1f} s in cli.main")
     return counts
 
 
