@@ -451,8 +451,10 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
     """Cubic-spline density built from tabulated (r, f_r) pairs.
 
     The table must start at r = 0 with strictly increasing radii; the profile
-    is renormalized to unit mass and clamped to 0 beyond the last radius. The
-    spline is scipy's natural cubic spline, bit for bit, computed in-package
+    is renormalized to unit mass and clamped to 0 beyond the last radius. A
+    table whose last value is above 1e-8 of its largest jumps there, so it is
+    marked not differentiable: its generalized Fisher information is infinite.
+    The spline is scipy's natural cubic spline, bit for bit, computed in-package
     (``_natural_spline``): importing it from scipy.interpolate would also load
     scipy.optimize, scipy.sparse, scipy.spatial and scipy.fft, about 26 MB.
     """
@@ -497,4 +499,5 @@ def table_profile(dim: int, radii, values, descriptor: str = "profile-from-table
         derivative=derivative,
         support_hint=R,
         descriptor=descriptor,
+        differentiable=bool(v[-1] <= 1e-8 * v.max()),
     )

@@ -324,9 +324,8 @@ def closed_fisher(params: QGaussianParams) -> float:
     """
     beta = params.beta
     _require_mq_finite(params, "I_bq")
-    s = validity.tail_index(params.q)
-    num = mu_pnu(params, params.alpha, 1.0, s)
-    den = mu_pnu(params, 0.0, 1.0, s) ** (beta * (params.q - 1.0) + 1.0)
+    num = mu_pnu(params, params.alpha, 1.0, validity.tail_index(params.q))
+    den = partition_fn(params) ** (beta * (params.q - 1.0) + 1.0)
     return (params.alpha * params.gamma) ** beta * num / den
 
 

@@ -7,8 +7,8 @@ final exponentiation; the Beta function stays finite even when one argument
 is huge, which happens routinely for tail indices q close to 1.
 
 No other module of the package imports scipy: every scipy routine it calls,
-the scipy.special ufuncs and LAPACK's gbsv and gtsv, is read from this module
-and imported on the first read (see ``__getattr__``).
+the scipy.special ufuncs, LAPACK's gbsv and gtsv and BLAS's gbmv, is read from
+this module and imported on the first read (see ``__getattr__``).
 """
 
 import math
@@ -25,6 +25,7 @@ __all__ = ["log_gamma", "beta_fn", "unit_ball_volume", "unit_sphere_area"]
 _UFUNCS = ("gammaln", "betaln", "exprel", "gammainc", "gammaincc", "gammaincinv",
            "betainc", "betaincinv")
 _LAPACK = ("gbsv", "gtsv")
+_BLAS = ("gbmv",)
 
 
 def __getattr__(name):
@@ -32,10 +33,11 @@ def __getattr__(name):
         from scipy import special
 
         globals().update((ufunc, getattr(special, ufunc)) for ufunc in _UFUNCS)
-    elif name in _LAPACK:
-        from scipy.linalg import get_lapack_funcs
+    elif name in _LAPACK or name in _BLAS:
+        from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
         globals().update(zip(_LAPACK, get_lapack_funcs(_LAPACK, dtype=float)))
+        globals().update(zip(_BLAS, get_blas_funcs(_BLAS, dtype=float)))
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]

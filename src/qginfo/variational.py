@@ -356,7 +356,13 @@ def _power(u: np.ndarray, k: float, delta: float):
 
 
 def _power_curvature(u: np.ndarray, k: float, delta: float) -> np.ndarray:
-    """The second derivative of _power's u^k."""
+    """The second derivative of _power's u^k.
+
+    The floor at delta is needed even where the caller floors u at 1e-8 max u:
+    a line search can accept u = 0 at every node, and then that floor is 0 too.
+    The k < 1 support-edge case of the tests at 201 nodes from the flat start
+    does so on its first Newton step, and 0^(k - 2) would divide by zero.
+    """
     curvature = k * (k - 1.0) * np.maximum(u, delta if delta > 0.0 else _TINY) ** (k - 2.0)
     if delta > 0.0:
         curvature[u < delta] = -2.0 * (1.0 - k) * delta ** (k - 2.0)
@@ -381,24 +387,6 @@ def _initial_profile(problem: VariationalProblem, init: str, disc: _Discretizati
     if not (mass > 0 and math.isfinite(mass)):
         raise DomainError(f"initial profile {init!r} has no usable mass on the grid")
     return u * mass ** (-1.0 / k)
-
-
-def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of a matrix in (3, 3) band storage with a vector.
-
-    Row i takes band[3 + o, i - o] x[i - o] for o = 0, 1, -1, 2, -2, 3, -3
-    in turn. The products sit in a buffer padded with three -0.0 on either
-    side, the identity of floating-point addition, so the terms that fall
-    outside the matrix add nothing and each sum keeps that order.
-    """
-    n = x.size
-    terms = np.empty((7, n + 6))
-    terms[:, :3] = terms[:, -3:] = -0.0
-    np.multiply(band, x, out=terms[:, 3:-3])
-    y = terms[3, 3:n + 3] + terms[4, 2:n + 2]
-    for row, start in ((2, 4), (5, 1), (1, 5), (6, 0), (0, 6)):
-        y += terms[row, start:start + n]
-    return y
 
 
 def _newton_step(disc: _Discretization, hessian: np.ndarray, diagonal: np.ndarray,
@@ -440,6 +428,8 @@ def _projected_newton_step(disc: _Discretization, hessian: np.ndarray, curvature
     pinned node whose gradient the step is predicted to turn negative is then
     freed and the step taken again, up to _RELEASE_ROUNDS times, so a front
     of nodes leaves the bound in one step. The outer node is never freed.
+    The prediction's band product is BLAS's gbmv, which reads the band
+    storage that gbsv does; its rounding only decides that sign.
     """
     for diagonal in (curvature, np.maximum(curvature, 0.0)):
         step = _newton_step(disc, hessian, diagonal, grad, jac, rho, pinned)
@@ -450,7 +440,8 @@ def _projected_newton_step(disc: _Discretization, hessian: np.ndarray, curvature
     for _ in range(_RELEASE_ROUNDS):
         if not pinned[:-1].any():
             break
-        predicted = grad + _band_matvec(hessian, step) + diagonal * step + rho * jac.T @ (jac @ step)
+        predicted = (grad + _special.gbmv(step.size, step.size, 3, 3, 1.0, hessian, step)
+                     + diagonal * step + rho * jac.T @ (jac @ step))
         release = pinned & (predicted < 0.0)
         release[-1] = False
         if not release.any():

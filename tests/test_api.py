@@ -187,6 +187,7 @@ print(json.dumps([read, sorted(m for m in sys.modules if m.split('.')[0] == 'sci
 @pytest.mark.parametrize("name,kind,loads,skips", [
     ("gtsv", "fortran", "scipy.linalg", "scipy.special"),
     ("gbsv", "fortran", "scipy.linalg", "scipy.special"),
+    ("gbmv", "fortran", "scipy.linalg", "scipy.special"),
     ("gammaln", "ufunc", "scipy.special", "scipy.linalg"),
 ])
 def test_special_binds_each_scipy_module_on_its_first_read(name, kind, loads, skips):

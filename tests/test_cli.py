@@ -473,6 +473,29 @@ class TestVerifyCommand:
             assert report["equality"] is True and abs(report["deficit"]) <= 1e-7, report
             assert set(report["method_tags"].values()) == {"quadrature"}
 
+    @staticmethod
+    def _jump_table(path):
+        # it ends at 0.70 of its largest value, so its profile jumps to 0 at 1.772
+        path.write_text("r,f\n0,3.99\n0.436,3.95\n1,1.80\n1.196,2.55\n1.772,2.81\n",
+                        encoding="utf-8")
+        return f"profile:{path}"
+
+    def test_table_ending_above_zero_skips_the_fisher_based_checks(self, tmp_path, capsys):
+        density = self._jump_table(tmp_path / "jump.csv")
+        code, out, _ = run(["verify", "--all", "--n", "2", "--density", density], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["name"] for r in payload["reports"]] == ["moment-entropy"]
+        skipped = payload["skipped"]
+        assert [s["name"] for s in skipped] == ["fisher-moment-entropy", "stam", "cramer-rao"]
+        assert all("not absolutely continuous" in s["reason"] for s in skipped)
+
+    def test_table_ending_above_zero_refuses_stam(self, tmp_path, capsys):
+        density = self._jump_table(tmp_path / "jump.csv")
+        code, out, err = run(["verify", "--ineq", "stam", "--n", "2", "--density", density],
+                             capsys)
+        assert (code, out) == (2, "") and "not absolutely continuous" in err
+
     def test_all_with_nothing_applicable_builds_no_extremal_member(self, capsys):
         # q = 0.7 is below the existence bound (n-alpha)/n = 0.75, so the
         # extremal member cannot be built; with no row left, none is needed
@@ -998,7 +1021,7 @@ def _exit_code(argv) -> int:
 @example(["verify", "--all", "--alpha", "1.0000001", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--q", "1e6", "--density", "mixture:1,0,1"])
 @example(["verify", "--all", "--density", "uniform-ball:1e300"])
-# a table that ends above 0: the Fisher-based checks miss the jump there and fail (exit 4)
+# a table that ends above 0 jumps there: the Fisher-based checks are skipped (exit 0)
 @example(["verify", "--all", "--n", "2", "--density=" + _table(
     [0.0, 0.436, 1.0, 1.196, 1.772], [3.99, 3.95, 1.80, 2.55, 2.81])])
 @example(["minimize", "--n", "2", "--alpha", "1e300", "--q", "1", "--moment", "1"])

@@ -284,6 +284,16 @@ class TestFactories:
             with pytest.raises(DomainError, match=message):
                 table_profile(1, radii, table)
 
+    def test_table_ending_above_zero_is_not_differentiable(self):
+        # the profile is 0 past the last radius, so a table whose last value is
+        # above 1e-8 of its largest jumps there: its Fisher information is infinite
+        radii = [0.0, 1.0, 2.0, 3.0]
+        for last, differentiable in ((0.0, True), (1e-8, True), (2e-8, False), (0.5, False)):
+            f = table_profile(1, radii, [1.0, 0.8, 0.3, last])
+            assert f.differentiable is differentiable, last
+        with pytest.raises(DomainError, match="not absolutely continuous"):
+            quad_fisher(f, 2.0, 1.0)
+
 
 def _spline_tables():
     # the benchmark's four shapes exp(-(r/s)^p) on 401 rows to e^-36, two of

@@ -84,3 +84,50 @@ def test_outputs_sha256_repeats(monkeypatch, load_module):
         assert found, lines[-1]
         digests.append(found.group(1))
     assert digests[0] == digests[1]
+
+
+def test_draw_300_ulp_rebuilds_its_first_inputs(monkeypatch, load_module):
+    # each input runs as drawn, then with m one ulp up and one ulp down
+    scans = _load_scans(monkeypatch, load_module)
+    lines = []
+    scans.scan("draw-300-ulp", itertools.islice(scans.draw_300_ulp(), 9), write=lines.append,
+               group=3)
+    assert len(lines) == 11, lines
+    moments = ("1.8354934366604327", "1.835493436660433", "1.8354934366604325")
+    for line, moment in zip(lines, moments):
+        assert line.startswith("  0 --n 1 --alpha 2.524891208272488 --q 0.5859031080103555"
+                               f" --moment {moment} --nodes 314"), line
+    assert [line.split()[0] for line in lines[:9]] == ["0"] * 3 + ["1"] * 3 + ["2"] * 3
+    assert lines[-2].startswith("draw-300-ulp: 9 inputs: "), lines[-2]
+    assert lines[-1].startswith("draw-300-ulp: outcomes differ on "), lines[-1]
+
+
+def _workloads_digest(scans, ops, workdir):
+    lines = []
+    scans.scan("workloads", ops, write=lines.append, workdir=workdir)
+    found = re.search(r"; outputs sha256 ([0-9a-f]{64}); ", lines[-1])
+    assert found, lines[-1]
+    return lines, found.group(1)
+
+
+def test_workloads_rebuilds_its_first_inputs(monkeypatch, load_module, tmp_path):
+    scans = _load_scans(monkeypatch, load_module)
+    lines, _ = _workloads_digest(scans, itertools.islice(scans.workloads(tmp_path), 3), tmp_path)
+    assert len(lines) == 4, lines
+    assert lines[0] == "  0 --all --n 3 --alpha 3.0 --q 1.612 --gamma 0.866 --density qgaussian pass"
+    assert all(line.startswith(f"{index:3d} --all ") for index, line in enumerate(lines[:3]))
+    assert lines[-1].startswith("workloads: 3 inputs: 3 pass; sha256 "), lines[-1]
+
+
+def test_workloads_digest_does_not_read_the_work_directory(monkeypatch, load_module, tmp_path):
+    # the first call that names a table under the work directory gives the
+    # same outputs sha256 in two directories whose paths differ in length
+    scans = _load_scans(monkeypatch, load_module)
+    digests = []
+    for workdir in (tmp_path / "a", tmp_path / "a-longer-path"):
+        workdir.mkdir()
+        op = next(op for op in scans.workloads(workdir) if "profile:" in op.argv[-1])
+        lines, digest = _workloads_digest(scans, [op], workdir)
+        assert "--density profile:WORKDIR/profile-" in lines[0], lines[0]
+        digests.append(digest)
+    assert digests[0] == digests[1]

@@ -464,14 +464,6 @@ def _loop_newton_step(hessian, diagonal, grad, jac, rho, pinned):
     return step
 
 
-def _loop_band_matvec(band, x):
-    y = band[3] * x
-    for o in range(1, 4):
-        y[o:] += band[3 + o, :-o] * x[:-o]
-        y[:-o] += band[3 - o, o:] * x[o:]
-    return y
-
-
 def _same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -539,9 +531,16 @@ class TestKernelsKeepTheirBits:
         assert step is not None and ref is not None
         assert _same_bits(step, ref)
 
-    def test_band_matvec(self, n, nodes, seed):
-        rng, disc, curv, _ = _kernel_case(n, nodes, seed)
-        hessian = disc.energy_hessian(curv)
-        zeros = rng.choice((0.0, -0.0), nodes)
-        for x in (_signed(rng, nodes, -20.0, 5.0), zeros, np.zeros(nodes), -np.zeros(nodes)):
-            assert _same_bits(variational._band_matvec(hessian, x), _loop_band_matvec(hessian, x))
+
+@pytest.mark.parametrize("nodes", (101, 1001))
+def test_gbmv_multiplies_the_energy_hessian_band(nodes):
+    # the release rounds' band product: BLAS gbmv reads energy_hessian's band
+    # storage, whose row 3 + o holds the diagonal (j + o, j), as the dense H
+    rng, disc, curv, _ = _kernel_case(2, nodes, 0)
+    hessian = disc.energy_hessian(curv)
+    dense = sum(np.diag(hessian[3 + o, max(0, -o):nodes - max(0, o)], -o) for o in range(-3, 4))
+    x = _signed(rng, nodes, -3.0, 3.0)
+    product = variational._special.gbmv(nodes, nodes, 3, 3, 1.0, hessian, x)
+    # seven terms a row: each sum is right to 7 eps of the sum of their magnitudes
+    bound = 7.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+    assert np.all(np.abs(product - dense @ x) <= bound)

@@ -4,7 +4,8 @@ Usage, from the root of the repository:
 
     python3 tools/scans.py NAME
 
-with NAME one of draw-300, scale, edge-54, heavy-36 and near-one-162.
+with NAME one of draw-300, draw-300-ulp, scale, edge-54, heavy-36,
+near-one-162 and workloads.
 
 A scan prints one line per input (the input, its outcome and, for an input
 that does not pass, the reason the benchmark's output check gives) and then
@@ -26,6 +27,15 @@ Scans:
                 Each input runs as `minimize` and is scored by the benchmark's
                 `minimize` check: L2 <= 1e-3, objective gap <= 1e-4 and
                 Prop. 1 gap <= 1e-3.
+
+    draw-300-ulp
+                Each input of draw-300 three times in a row: as drawn, then
+                with m moved one ulp up and one ulp down (math.nextafter
+                toward +inf and -inf), 900 runs in all, each scored as
+                draw-300 is. Lines are numbered by the draw's input. A last
+                line lists every input whose three outcomes are not all the
+                same: the draw's noise floor, the outcome moves that rounding
+                alone makes.
 
     scale       `minimize --alpha 2.0 --moment m` with the default init, for
                 (n, q, nodes) in ((1, 1.0, 401), (2, 1.2, 201), (3, 1.1, 201))
@@ -51,15 +61,28 @@ Scans:
                 e in (3, ..., 11), in that nesting: the members next to q = 1,
                 where the quadrature's H_q divides the error of M_q by 1 - q.
                 Scored as edge-54 is; a failing line gives max_rel_gap.
+
+    workloads   The 588 `cli.main` calls of the benchmark's workloads
+                interactive, bulk-sample and solve, in that order, each at
+                seed 1 and then seed 2, built by `bench/workloads.py`'s own
+                builders in a fresh temporary work directory. Each is scored
+                by the benchmark's check for its kind. Here each output also
+                starts with the call's argv and ends with the bytes of its
+                `--out` file, and the work directory's path is replaced by
+                WORKDIR in the outputs and the lines, since `verify` echoes a
+                `profile:` table's path and `sample --out` its file's: the
+                digests do not depend on where the scan runs.
 """
 
 import argparse
 import collections
 import hashlib
 import io
+import math
 import os
 import random
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -71,7 +94,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from checks import Checker  # noqa: E402
-from workloads import Op  # noqa: E402
+from workloads import WORKLOADS, Op  # noqa: E402
 
 from qginfo import cli  # noqa: E402
 from qginfo.errors import DivergenceError, DomainError  # noqa: E402
@@ -94,6 +117,17 @@ def draw_300():
             argv = ("minimize", "--n", str(n), "--alpha", repr(alpha), "--q", repr(q),
                     "--moment", repr(m), "--nodes", str(nodes), "--init", init)
             yield Op("minimize", argv, dict(n=n, alpha=alpha, q=q, moment=m, nodes=nodes))
+
+
+def draw_300_ulp():
+    """The draw's ops, each followed by itself with m one ulp up and one ulp down."""
+    for op in draw_300():
+        yield op
+        for toward in (math.inf, -math.inf):
+            m = math.nextafter(op.info["moment"], toward)
+            argv = list(op.argv)
+            argv[argv.index("--moment") + 1] = repr(m)
+            yield Op(op.kind, tuple(argv), {**op.info, "moment": m})
 
 
 def scale():
@@ -135,19 +169,32 @@ def near_one_162():
                     yield _measures(n, alpha, 1.0 + sign * 10.0**-e)
 
 
-SCANS = {"draw-300": draw_300, "scale": scale, "edge-54": edge_54, "heavy-36": heavy_36,
-         "near-one-162": near_one_162}
+def workloads(workdir):
+    """The benchmark's 588 calls of seeds 1 and 2, in order; each workload's
+    builder writes its tables under `workdir` when it is reached."""
+    for name in ("interactive", "bulk-sample", "solve"):
+        for seed in (1, 2):
+            yield from WORKLOADS[name].build(seed, workdir)
+
+
+SCANS = {"draw-300": draw_300, "draw-300-ulp": draw_300_ulp, "scale": scale,
+         "edge-54": edge_54, "heavy-36": heavy_36, "near-one-162": near_one_162,
+         "workloads": workloads}
 
 
 def run_op(op, checker):
     """(outcome, reason, seconds in cli.main, output bytes) of one op; the
-    output bytes are the exit code, a newline, stdout, a NUL, stderr, a NUL."""
+    output bytes are the exit code, a newline, stdout, a NUL, stderr, a NUL
+    and, for an op with an `--out` file, that file's bytes and a NUL."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         started = time.perf_counter()
         code = cli.main(list(op.argv))
         seconds = time.perf_counter() - started
     output = f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode("utf-8")
+    out_path = op.info.get("out")
+    if out_path and os.path.isfile(out_path):
+        output += Path(out_path).read_bytes() + b"\0"
     result = checker.check(op, code, None, out.getvalue(), err.getvalue())
     if result.ok:
         return "pass", "", seconds, output
@@ -155,24 +202,40 @@ def run_op(op, checker):
     return outcome, result.reason, seconds, output
 
 
-def scan(name, ops, write=print):
-    """Run `ops` as scan `name`, writing each line; returns the outcome counts."""
+def scan(name, ops, write=print, workdir=None, group=1):
+    """Run `ops` as scan `name`, writing each line; returns the outcome counts.
+
+    With a `workdir`, each output starts with the op's argv, and the path of
+    `workdir` is replaced by WORKDIR in the outputs and the lines. With
+    `group` > 1, each `group` consecutive ops are one input, numbered as one,
+    and a last line lists the inputs whose ops' outcomes are not all the same.
+    """
     checker = Checker()
     counts = collections.Counter()
     digest, outputs = hashlib.sha256(), hashlib.sha256()
     total = 0.0
+    by_input = collections.defaultdict(list)
     for index, op in enumerate(ops):
         outcome, reason, seconds, output = run_op(op, checker)
         counts[outcome] += 1
         total += seconds
+        line = " ".join((f"{index // group:3d}", *op.argv[1:], outcome, reason)).rstrip()
+        if workdir is not None:
+            output = "\0".join(op.argv).encode("utf-8") + b"\n" + output
+            output = output.replace(str(workdir).encode("utf-8"), b"WORKDIR")
+            line = line.replace(str(workdir), "WORKDIR")
         outputs.update(output)
-        line = " ".join((f"{index:3d}", *op.argv[1:], outcome, reason)).rstrip()
         digest.update(line.encode("utf-8") + b"\n")
         write(line)
+        by_input[index // group].append(outcome)
     write(f"{name}: {sum(counts.values())} inputs: "
           + ", ".join(f"{count} {outcome}" for outcome, count in counts.most_common())
           + f"; sha256 {digest.hexdigest()}; outputs sha256 {outputs.hexdigest()}"
           + f"; {total:.1f} s in cli.main")
+    if group > 1:
+        moved = [f"{index} ({' / '.join(outcomes)})" for index, outcomes in by_input.items()
+                 if len(set(outcomes)) > 1]
+        write(f"{name}: outcomes differ on {len(moved)} inputs: " + ", ".join(moved))
     return counts
 
 
@@ -180,7 +243,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("scan", choices=SCANS)
     args = parser.parse_args(argv)
-    scan(args.scan, SCANS[args.scan]())
+    if args.scan == "workloads":
+        with tempfile.TemporaryDirectory(prefix="qginfo-workloads-") as workdir:
+            scan(args.scan, workloads(Path(workdir)), workdir=workdir)
+    else:
+        scan(args.scan, SCANS[args.scan](), group=3 if args.scan == "draw-300-ulp" else 1)
     return 0
 
 
